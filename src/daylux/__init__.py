@@ -9,16 +9,12 @@ measurements.  The plant is a monotone look-up table, all signals live on an
 
 from .config import ConfigError, SimConfig
 from .loop import (
-    ControllerNet,
-    InverseModelNet,
     LoopOptions,
     LoopState,
     StepRecord,
     controller_action,
     inverse_action,
     loop_step,
-    make_controller_net,
-    make_inverse_net,
     run_loop,
     run_simulation,
     train_controller,
@@ -50,38 +46,28 @@ from .signals import (
     unit_to_d8bv,
 )
 from .tinynet import (
-    ActivationKind,
-    MlpNetwork,
-    activation_derivative,
-    activation_eval,
+    TinyNet,
     backprop_gradients,
     forward,
     init_network,
-    load_network,
     numeric_gradient,
-    save_network,
     train_step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationKind",
     "BandReport",
     "ConfigError",
-    "ControllerNet",
     "DaylightTrajectory",
-    "InverseModelNet",
     "LoopOptions",
     "LoopState",
-    "MlpNetwork",
     "ProcessLut",
     "SimConfig",
     "SplitMix64",
     "StepRecord",
     "TableFormatError",
-    "activation_derivative",
-    "activation_eval",
+    "TinyNet",
     "backprop_gradients",
     "band_report",
     "check_d8bv",
@@ -94,12 +80,9 @@ __all__ = [
     "inverse_action",
     "load_daylight_csv",
     "load_lut_csv",
-    "load_network",
     "loop_step",
     "lut_eval",
     "lut_inverse",
-    "make_controller_net",
-    "make_inverse_net",
     "numeric_gradient",
     "plant_measure",
     "round_half_away",
@@ -107,7 +90,6 @@ __all__ = [
     "run_simulation",
     "save_daylight_csv",
     "save_lut_csv",
-    "save_network",
     "scale_delta_error",
     "scale_error",
     "scale_to_unit",

@@ -16,6 +16,7 @@ trajectory brings its own length and overrides `steps` for the run.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -62,10 +63,10 @@ class SimConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.e_desired <= D8BV_MAX:
             raise ConfigError(f"e_desired must be in [0, 255], got {self.e_desired}")
-        if not self.gamma_controller > 0:
-            raise ConfigError(f"gamma_controller must be > 0, got {self.gamma_controller}")
-        if not self.gamma_inverse > 0:
-            raise ConfigError(f"gamma_inverse must be > 0, got {self.gamma_inverse}")
+        for key in ("gamma_controller", "gamma_inverse"):
+            gamma = getattr(self, key)
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {gamma}")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         if self.error_scaling not in ERROR_SCALINGS:

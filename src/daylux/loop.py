@@ -46,26 +46,10 @@ from .signals import (
     scale_to_unit,
     unit_to_d8bv,
 )
-from .tinynet import ActivationKind, MlpNetwork, forward, init_network, train_step
+from .tinynet import TinyNet, forward, init_network, train_step
 
-GAMMA_DEFAULT = 0.15
 CONTROLLER_INPUTS = 2
 INVERSE_INPUTS = 3
-HIDDEN_DEFAULT = 3
-
-
-@dataclass
-class ControllerNet:
-    """2-3-1 net issuing the lamp command from (eps, deps)."""
-
-    net: MlpNetwork
-
-
-@dataclass
-class InverseModelNet:
-    """3-3-1 net identified online from measured illuminance triples."""
-
-    net: MlpNetwork
 
 
 @dataclass
@@ -113,67 +97,35 @@ class StepRecord:
     loss_controller: float
 
 
-def make_controller_net(
-    gamma: float = GAMMA_DEFAULT,
-    seed: int = 0,
-    hidden: int = HIDDEN_DEFAULT,
-    use_bias: bool = True,
-) -> ControllerNet:
-    net = init_network(
-        (CONTROLLER_INPUTS, hidden, 1),
-        (ActivationKind.TANH, ActivationKind.LINEAR),
-        learning_rate=gamma,
-        seed=seed,
-        use_bias=use_bias,
-    )
-    return ControllerNet(net)
-
-
-def make_inverse_net(
-    gamma: float = GAMMA_DEFAULT,
-    seed: int = 0,
-    hidden: int = HIDDEN_DEFAULT,
-    use_bias: bool = True,
-) -> InverseModelNet:
-    net = init_network(
-        (INVERSE_INPUTS, hidden, 1),
-        (ActivationKind.TANH, ActivationKind.LINEAR),
-        learning_rate=gamma,
-        seed=seed,
-        use_bias=use_bias,
-    )
-    return InverseModelNet(net)
-
-
 def controller_action(
-    ctl: ControllerNet, eps: int, deps: int, error_scaling: str = "independent"
+    ctl: TinyNet, eps: int, deps: int, error_scaling: str = "independent"
 ) -> int:
     """Command U for the current error pair; always a valid 8-bit value."""
     x = [scale_error(eps, error_scaling), scale_delta_error(deps, error_scaling)]
-    outputs, _ = forward(ctl.net, x)
-    return unit_to_d8bv(outputs[0])
+    y, _ = forward(ctl, x)
+    return unit_to_d8bv(y)
 
 
-def inverse_action(inv: InverseModelNet, e2: int, e1: int, e0: int) -> int:
+def inverse_action(inv: TinyNet, e2: int, e1: int, e0: int) -> int:
     """Command U_IM for an illuminance triple (newest first).
 
     The raw output is limited to [-1, 1] before conversion, the same rule the
     controller output follows.
     """
     x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
-    outputs, _ = forward(inv.net, x)
-    return unit_to_d8bv(outputs[0])
+    y, _ = forward(inv, x)
+    return unit_to_d8bv(y)
 
 
-def train_inverse(inv: InverseModelNet, e_triple, u_target: int) -> float:
+def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
     """One online update toward triple -> command; returns pre-update loss."""
     e2, e1, e0 = e_triple
     x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
-    return train_step(inv.net, x, [scale_to_unit(check_d8bv(u_target, "u_target"))])
+    return train_step(inv, x, scale_to_unit(check_d8bv(u_target, "u_target")))
 
 
 def train_controller(
-    ctl: ControllerNet,
+    ctl: TinyNet,
     eps_prev: int,
     deps_prev: int,
     u_im: int,
@@ -181,13 +133,13 @@ def train_controller(
 ) -> float:
     """One online update toward (eps, deps) -> U_IM; returns pre-update loss."""
     x = [scale_error(eps_prev, error_scaling), scale_delta_error(deps_prev, error_scaling)]
-    return train_step(ctl.net, x, [scale_to_unit(check_d8bv(u_im, "u_im"))])
+    return train_step(ctl, x, scale_to_unit(check_d8bv(u_im, "u_im")))
 
 
 def loop_step(
     state: LoopState,
-    ctl: ControllerNet,
-    inv: InverseModelNet,
+    ctl: TinyNet,
+    inv: TinyNet,
     lut: ProcessLut,
     e_desired_k: int,
     e_daylight_k: int,
@@ -254,8 +206,8 @@ def loop_step(
 def run_loop(
     lut: ProcessLut,
     daylight: DaylightTrajectory,
-    ctl: ControllerNet,
-    inv: InverseModelNet,
+    ctl: TinyNet,
+    inv: TinyNet,
     e_desired: int,
     options: LoopOptions | None = None,
 ) -> list[StepRecord]:
@@ -278,8 +230,8 @@ def run_simulation(cfg):
     cfg.validate()
     lut = config_mod.build_lut(cfg)
     daylight = config_mod.build_daylight(cfg)
-    ctl = make_controller_net(cfg.gamma_controller, cfg.seed_controller, use_bias=cfg.use_bias)
-    inv = make_inverse_net(cfg.gamma_inverse, cfg.seed_inverse, use_bias=cfg.use_bias)
+    ctl = init_network(CONTROLLER_INPUTS, cfg.gamma_controller, cfg.seed_controller, cfg.use_bias)
+    inv = init_network(INVERSE_INPUTS, cfg.gamma_inverse, cfg.seed_inverse, cfg.use_bias)
     options = LoopOptions(
         error_scaling=cfg.error_scaling,
         inverse_target_lag=cfg.inverse_target_lag,

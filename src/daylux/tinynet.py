@@ -1,317 +1,158 @@
-"""Minimal multilayer perceptron with single-sample online backpropagation.
+"""The n-3-1 network both loop nets use, with single-sample online backprop.
 
-The networks used by the control loop are tiny (2-3-1 and 3-3-1, under 25
-parameters), are trained one sample at a time, and must behave identically on
-every platform.  Plain lists of Python floats meet all three needs; there is
-deliberately no array library underneath.
+The controller (2-3-1) and the inverse model (3-3-1) share one shape: a
+3-neuron tanh hidden layer and a single linear output.  They are trained one
+sample at a time and must behave identically on every platform, so plain
+lists of Python floats hold everything; there is deliberately no array
+library underneath.
 
 Conventions:
 
-* ``weights[l][j][i]`` feeds input ``i`` of layer ``l`` into neuron ``j``;
-  ``biases[l][j]`` is that neuron's bias.
-* Hidden layers use the hyperbolic tangent computed from exponentials,
-  outputs are linear.  Activation derivatives are expressed in terms of the
-  neuron's own output y (tanh' = 1 - y**2, linear' = 1), which is what makes
-  single-sample backprop a handful of multiplies.
-* The loss is 0.5 * sum((target - output)**2).  ``train_step`` returns the
-  loss *before* the update, i.e. the quantity the step descends on.
-* Initial weights are uniform in [-0.5, 0.5], drawn from a seeded
-  :class:`~daylux.rng.SplitMix64` stream layer by layer, neuron by neuron:
-  each neuron's input weights in input order, then (when biases are enabled)
-  that neuron's bias.  Serialization uses the same order.
+* Each neuron is a row ``[w_0, ..., w_{m-1}, bias]`` over its m inputs:
+  ``TinyNet.w1`` holds the 3 hidden rows over the n inputs, ``TinyNet.w2``
+  the output row over the 3 hidden activations.  Gradients use the same rows.
+* A neuron's weighted sum starts from its bias and adds ``w * v`` in input
+  order.  The tanh is computed from exponentials; its derivative is taken
+  from the neuron's own output (tanh' = 1 - y**2).
+* The loss is 0.5 * (target - output)**2.  ``train_step`` returns the loss
+  *before* the update, i.e. the quantity the step descends on, and computes
+  every gradient before changing any parameter.
+* Initial parameters are uniform in [-0.5, 0.5], drawn from a seeded
+  :class:`~daylux.rng.SplitMix64` stream row by row: hidden rows, then the
+  output row, each row's weights in input order followed (when biases are
+  enabled) by its bias.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .rng import SplitMix64
 
 DEFAULT_LEARNING_RATE = 0.15
 INIT_WEIGHT_SPAN = 0.5
-
-
-class ActivationKind(Enum):
-    TANH = "tanh"
-    LINEAR = "linear"
-
-
-def activation_eval(kind: ActivationKind, x: float) -> float:
-    """Neuron transfer function applied to the weighted sum x."""
-    if kind is ActivationKind.LINEAR:
-        return x
-    if kind is ActivationKind.TANH:
-        # (1 - e**(-2x)) / (1 + e**(-2x)), evaluated on the decaying side so
-        # the exponential never overflows.
-        if x >= 20.0:
-            return 1.0
-        if x <= -20.0:
-            return -1.0
-        e = math.exp(-2.0 * abs(x))
-        t = (1.0 - e) / (1.0 + e)
-        return t if x >= 0.0 else -t
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def activation_derivative(kind: ActivationKind, y: float) -> float:
-    """Derivative of the transfer function given the neuron output y."""
-    if kind is ActivationKind.LINEAR:
-        return 1.0
-    if kind is ActivationKind.TANH:
-        return 1.0 - y * y
-    raise ValueError(f"unknown activation {kind!r}")
+HIDDEN_WIDTH = 3
 
 
 @dataclass
-class MlpNetwork:
-    layer_widths: tuple[int, ...]
-    activations: tuple[ActivationKind, ...]
-    weights: list[list[list[float]]]
-    biases: list[list[float]]
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    use_bias: bool = True
+class TinyNet:
+    """n-3-1 net: ``w1`` holds the 3 tanh hidden rows, ``w2`` the linear output row."""
 
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
+    w1: list[list[float]]
+    w2: list[float]
+    learning_rate: float
+    use_bias: bool
 
-    def n_parameters(self) -> int:
-        n = sum(w_out * w_in for w_in, w_out in zip(self.layer_widths, self.layer_widths[1:]))
-        if self.use_bias:
-            n += sum(self.layer_widths[1:])
-        return n
+    @property
+    def n_inputs(self) -> int:
+        return len(self.w1[0]) - 1
+
+
+def tanh(x: float) -> float:
+    """(1 - e**(-2x)) / (1 + e**(-2x)), evaluated on the decaying side so the
+    exponential never overflows."""
+    if x >= 20.0:
+        return 1.0
+    if x <= -20.0:
+        return -1.0
+    e = math.exp(-2.0 * abs(x))
+    t = (1.0 - e) / (1.0 + e)
+    return t if x >= 0.0 else -t
 
 
 def init_network(
-    layer_widths,
-    activations,
+    n_inputs: int,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     seed: int = 0,
     use_bias: bool = True,
-) -> MlpNetwork:
-    """Build a network with seeded uniform [-0.5, 0.5] parameters.
+) -> TinyNet:
+    """Build an n-3-1 net with seeded uniform [-0.5, 0.5] parameters.
 
-    ``activations`` lists one kind per trainable layer.  With
-    ``use_bias=False`` the bias slots exist but stay 0.0 and consume no
+    With ``use_bias=False`` the bias slots exist but stay 0.0 and consume no
     random draws, so toggling the flag does not shift the weight stream.
     """
-    widths = tuple(int(w) for w in layer_widths)
-    acts = tuple(activations)
-    if len(widths) < 2:
-        raise ValueError("a network needs at least an input and an output layer")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"layer widths must be positive, got {widths}")
-    if len(acts) != len(widths) - 1:
-        raise ValueError(
-            f"expected {len(widths) - 1} activations for widths {widths}, got {len(acts)}"
-        )
-    if not all(isinstance(a, ActivationKind) for a in acts):
-        raise ValueError("activations must be ActivationKind members")
     if not (learning_rate > 0.0):
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-
     rng = SplitMix64(seed)
-    weights: list[list[list[float]]] = []
-    biases: list[list[float]] = []
-    for w_in, w_out in zip(widths, widths[1:]):
-        layer_w = []
-        layer_b = []
-        for _ in range(w_out):
-            row = [rng.uniform(-INIT_WEIGHT_SPAN, INIT_WEIGHT_SPAN) for _ in range(w_in)]
-            layer_w.append(row)
-            layer_b.append(rng.uniform(-INIT_WEIGHT_SPAN, INIT_WEIGHT_SPAN) if use_bias else 0.0)
-        weights.append(layer_w)
-        biases.append(layer_b)
-    return MlpNetwork(widths, acts, weights, biases, learning_rate, use_bias)
+
+    def row(width: int) -> list[float]:
+        r = [rng.uniform(-INIT_WEIGHT_SPAN, INIT_WEIGHT_SPAN) for _ in range(width)]
+        r.append(rng.uniform(-INIT_WEIGHT_SPAN, INIT_WEIGHT_SPAN) if use_bias else 0.0)
+        return r
+
+    w1 = [row(n_inputs) for _ in range(HIDDEN_WIDTH)]
+    return TinyNet(w1, row(HIDDEN_WIDTH), learning_rate, use_bias)
 
 
-def forward(net: MlpNetwork, inputs) -> tuple[list[float], list[list[float]]]:
-    """Run the network; returns (outputs, per-layer activation trace).
+def _weighted_sum(row: list[float], values: list[float]) -> float:
+    """Bias (the row's last entry, which zip leaves out) plus w * v in input order."""
+    s = row[-1]
+    for w, v in zip(row, values):
+        s += w * v
+    return s
 
-    The trace starts with the input vector itself and ends with the output
-    layer, so ``trace[l]`` is what ``weights[l]`` consumes.
-    """
+
+def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
+    """Run the network; returns (output, hidden activations)."""
     x = [float(v) for v in inputs]
-    if len(x) != net.layer_widths[0]:
-        raise ValueError(
-            f"expected {net.layer_widths[0]} inputs, got {len(x)}"
-        )
-    trace = [x]
-    for layer_w, layer_b, kind in zip(net.weights, net.biases, net.activations):
-        prev = trace[-1]
-        out = []
-        for row, b in zip(layer_w, layer_b):
-            s = b
-            for w, v in zip(row, prev):
-                s += w * v
-            out.append(activation_eval(kind, s))
-        trace.append(out)
-    return trace[-1], trace
+    if len(x) != net.n_inputs:
+        raise ValueError(f"expected {net.n_inputs} inputs, got {len(x)}")
+    h = [tanh(_weighted_sum(row, x)) for row in net.w1]
+    return _weighted_sum(net.w2, h), h
 
 
-def loss_eval(net: MlpNetwork, inputs, targets) -> float:
-    """0.5 * sum of squared output errors for one sample."""
-    t = _check_targets(net, targets)
-    outputs, _ = forward(net, inputs)
-    return 0.5 * sum((ti - yi) ** 2 for ti, yi in zip(t, outputs))
+def loss_eval(net: TinyNet, inputs, target: float) -> float:
+    """0.5 * squared output error for one sample."""
+    y, _ = forward(net, inputs)
+    return 0.5 * (float(target) - y) ** 2
 
 
-def backprop_gradients(net: MlpNetwork, inputs, targets):
+def backprop_gradients(net: TinyNet, inputs, target: float):
     """Exact loss gradients for one sample.
 
-    Returns ``(loss, grad_w, grad_b)`` with the gradient lists shaped like
-    ``net.weights`` / ``net.biases``.  Bias gradients are computed even when
+    Returns ``(loss, grad_w1, grad_w2)`` with the gradient rows shaped like
+    ``net.w1`` / ``net.w2``.  Bias gradients are computed even when
     ``use_bias`` is off; ``train_step`` simply does not apply them.
     """
-    t = _check_targets(net, targets)
-    outputs, trace = forward(net, inputs)
-
-    delta = [
-        (y - ti) * activation_derivative(net.activations[-1], y)
-        for y, ti in zip(outputs, t)
-    ]
-    loss = 0.5 * sum((ti - y) ** 2 for ti, y in zip(t, outputs))
-
-    grad_w = [ [ [0.0] * len(row) for row in layer ] for layer in net.weights ]
-    grad_b = [ [0.0] * len(layer) for layer in net.biases ]
-
-    for l in range(net.n_layers() - 1, -1, -1):
-        prev = trace[l]
-        for j, d in enumerate(delta):
-            grad_b[l][j] = d
-            row = grad_w[l][j]
-            for i, v in enumerate(prev):
-                row[i] = d * v
-        if l > 0:
-            kind = net.activations[l - 1]
-            new_delta = []
-            for i, y_prev in enumerate(prev):
-                s = 0.0
-                for j, d in enumerate(delta):
-                    s += net.weights[l][j][i] * d
-                new_delta.append(s * activation_derivative(kind, y_prev))
-            delta = new_delta
-    return loss, grad_w, grad_b
+    t = float(target)
+    x = [float(v) for v in inputs]
+    y, h = forward(net, x)
+    d = y - t
+    loss = 0.5 * (t - y) ** 2
+    grad_w2 = [d * hj for hj in h] + [d]
+    deltas = [wj * d * (1.0 - hj * hj) for wj, hj in zip(net.w2, h)]
+    grad_w1 = [[dj * v for v in x] + [dj] for dj in deltas]
+    return loss, grad_w1, grad_w2
 
 
-def train_step(net: MlpNetwork, inputs, targets) -> float:
+def train_step(net: TinyNet, inputs, target: float) -> float:
     """One online gradient-descent update; returns the pre-update loss."""
-    loss, grad_w, grad_b = backprop_gradients(net, inputs, targets)
+    loss, grad_w1, grad_w2 = backprop_gradients(net, inputs, target)
     lr = net.learning_rate
-    for l in range(net.n_layers()):
-        layer_w = net.weights[l]
-        for j, row in enumerate(layer_w):
-            grow = grad_w[l][j]
-            for i in range(len(row)):
-                row[i] -= lr * grow[i]
-        if net.use_bias:
-            layer_b = net.biases[l]
-            gb = grad_b[l]
-            for j in range(len(layer_b)):
-                layer_b[j] -= lr * gb[j]
+    skip_bias = 0 if net.use_bias else 1  # the bias is each row's last entry
+    for row, grad in zip(net.w1 + [net.w2], grad_w1 + [grad_w2]):
+        for i in range(len(row) - skip_bias):
+            row[i] -= lr * grad[i]
     return loss
 
 
-def numeric_gradient(net: MlpNetwork, inputs, targets, h: float = 1e-5):
-    """Central-difference loss gradients, the oracle backprop is checked against."""
+def numeric_gradient(net: TinyNet, inputs, target: float, h: float = 1e-5):
+    """Central-difference loss gradients, the oracle backprop is checked against.
+
+    Returns ``(grad_w1, grad_w2)`` shaped like ``net.w1`` / ``net.w2``.
+    """
     if not (h > 0.0):
         raise ValueError(f"step h must be positive, got {h}")
-    grad_w = [ [ [0.0] * len(row) for row in layer ] for layer in net.weights ]
-    grad_b = [ [0.0] * len(layer) for layer in net.biases ]
-    for l in range(net.n_layers()):
-        for j, row in enumerate(net.weights[l]):
-            for i in range(len(row)):
-                keep = row[i]
-                row[i] = keep + h
-                up = loss_eval(net, inputs, targets)
-                row[i] = keep - h
-                down = loss_eval(net, inputs, targets)
-                row[i] = keep
-                grad_w[l][j][i] = (up - down) / (2.0 * h)
-        layer_b = net.biases[l]
-        for j in range(len(layer_b)):
-            keep = layer_b[j]
-            layer_b[j] = keep + h
-            up = loss_eval(net, inputs, targets)
-            layer_b[j] = keep - h
-            down = loss_eval(net, inputs, targets)
-            layer_b[j] = keep
-            grad_b[l][j] = (up - down) / (2.0 * h)
-    return grad_w, grad_b
-
-
-def save_network(net: MlpNetwork, path) -> None:
-    """Write a network as line-oriented text that reloads bit-exactly."""
-    lines = ["daylux-mlp 1"]
-    lines.append("widths " + " ".join(str(w) for w in net.layer_widths))
-    lines.append("activations " + " ".join(a.value for a in net.activations))
-    lines.append(f"use_bias {1 if net.use_bias else 0}")
-    lines.append(f"learning_rate {net.learning_rate!r}")
-    for l in range(net.n_layers()):
-        for j, row in enumerate(net.weights[l]):
-            for i, w in enumerate(row):
-                lines.append(f"w {l} {j} {i} {w!r}")
-            lines.append(f"b {l} {j} {net.biases[l][j]!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_network(path) -> MlpNetwork:
-    """Read a network written by :func:`save_network`."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln]
-    if not lines or lines[0] != "daylux-mlp 1":
-        raise ValueError(f"{path}: not a daylux-mlp network file")
-    header: dict[str, list[str]] = {}
-    body_at = 1
-    for ln in lines[1:]:
-        key, *rest = ln.split()
-        if key in ("w", "b"):
-            break
-        header[key] = rest
-        body_at += 1
-    try:
-        widths = tuple(int(v) for v in header["widths"])
-        acts = tuple(ActivationKind(v) for v in header["activations"])
-        use_bias = header["use_bias"] == ["1"]
-        learning_rate = float(header["learning_rate"][0])
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: bad network header ({exc})") from exc
-
-    net = init_network(widths, acts, learning_rate, seed=0, use_bias=use_bias)
-    seen_w = 0
-    seen_b = 0
-    for ln in lines[body_at:]:
-        parts = ln.split()
-        try:
-            if parts[0] == "w":
-                l, j, i = int(parts[1]), int(parts[2]), int(parts[3])
-                net.weights[l][j][i] = float(parts[4])
-                seen_w += 1
-            elif parts[0] == "b":
-                l, j = int(parts[1]), int(parts[2])
-                net.biases[l][j] = float(parts[3])
-                seen_b += 1
-            else:
-                raise ValueError(f"unexpected line {ln!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: bad parameter line {ln!r}") from exc
-    want_w = sum(a * b for a, b in zip(widths, widths[1:]))
-    want_b = sum(widths[1:])
-    if seen_w != want_w or seen_b != want_b:
-        raise ValueError(
-            f"{path}: expected {want_w} weights and {want_b} biases, "
-            f"got {seen_w} and {seen_b}"
-        )
-    return net
-
-
-def _check_targets(net: MlpNetwork, targets) -> list[float]:
-    t = [float(v) for v in targets]
-    if len(t) != net.layer_widths[-1]:
-        raise ValueError(
-            f"expected {net.layer_widths[-1]} targets, got {len(t)}"
-        )
-    return t
+    grads = []
+    for row in net.w1 + [net.w2]:
+        g = []
+        for i, keep in enumerate(row):
+            row[i] = keep + h
+            up = loss_eval(net, inputs, target)
+            row[i] = keep - h
+            down = loss_eval(net, inputs, target)
+            row[i] = keep
+            g.append((up - down) / (2.0 * h))
+        grads.append(g)
+    return grads[:-1], grads[-1]

@@ -11,12 +11,13 @@ import time
 
 from daylux.cli import gradcheck_max_rel_error
 from daylux.config import DEFAULT_SEED_INVERSE, SimConfig
-from daylux.loop import inverse_action, make_inverse_net, run_simulation, train_inverse
+from daylux.loop import INVERSE_INPUTS, inverse_action, run_simulation, train_inverse
 from daylux.metrics import band_report
 from daylux.plant import lut_eval, lut_inverse, synth_default_lut
 from daylux.report import write_run_artifacts
 from daylux.rng import SplitMix64
 from daylux.signals import scale_to_unit, unit_to_d8bv
+from daylux.tinynet import init_network
 
 
 GATE_LINES = []
@@ -53,7 +54,7 @@ def test_a2_quantization_bijection():
 
 def test_a3_inverse_model_identifiability():
     lut = synth_default_lut()
-    inv = make_inverse_net(seed=DEFAULT_SEED_INVERSE)
+    inv = init_network(INVERSE_INPUTS, seed=DEFAULT_SEED_INVERSE)
     sweep = SplitMix64(99)
     t0 = time.perf_counter()
     for _ in range(5000):

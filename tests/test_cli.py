@@ -82,6 +82,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", "--steps", "0"]) == 1
     assert "steps" in capsys.readouterr().err
     assert main(["simulate", "--e-desired", "300"]) == 1
+    capsys.readouterr()
+    assert main(["simulate", "--gamma-inverse", "inf"]) == 1
+    assert "gamma_inverse" in capsys.readouterr().err
     assert main(["simulate", "--daylight", "sinus:1"]) == 1
     assert main(["simulate", "--lut", "csv:/does/not/exist.csv"]) == 1
     assert main(["simulate", "--steps", "abc"]) == 1  # argparse type error

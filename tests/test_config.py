@@ -31,6 +31,9 @@ def test_validate_rejects_out_of_contract_fields():
         ("e_desired", 256),
         ("gamma_controller", 0.0),
         ("gamma_inverse", -0.1),
+        ("gamma_controller", float("inf")),
+        ("gamma_inverse", float("inf")),
+        ("gamma_inverse", float("nan")),
         ("warmup", -1),
         ("error_scaling", "percent"),
         ("inverse_target_lag", 2),

@@ -1,5 +1,6 @@
 """Tests for the closed loop: wiring identities, step ordering, determinism."""
 
+import hashlib
 import math
 
 import pytest
@@ -7,34 +8,33 @@ import pytest
 import daylux.loop as loop_mod
 from daylux.config import SimConfig
 from daylux.loop import (
+    CONTROLLER_INPUTS,
+    INVERSE_INPUTS,
     LoopOptions,
     LoopState,
     controller_action,
     inverse_action,
     loop_step,
-    make_controller_net,
-    make_inverse_net,
     run_loop,
     run_simulation,
     train_controller,
     train_inverse,
 )
 from daylux.plant import DaylightTrajectory, gen_daylight, lut_eval, synth_default_lut
+from daylux.report import write_trajectory_csv
 from daylux.signals import clamp8_sum
+from daylux.tinynet import init_network
 
 
-def zeroed(wrap):
+def zeroed(net):
     """Zero every parameter so the net starts as a blank slate."""
-    net = wrap.net
-    for l in range(net.n_layers()):
-        for j in range(len(net.weights[l])):
-            net.weights[l][j] = [0.0] * len(net.weights[l][j])
-            net.biases[l][j] = 0.0
-    return wrap
+    for row in net.w1 + [net.w2]:
+        row[:] = [0.0] * len(row)
+    return net
 
 
 def zero_pair():
-    return zeroed(make_controller_net(seed=0)), zeroed(make_inverse_net(seed=0))
+    return zeroed(init_network(CONTROLLER_INPUTS)), zeroed(init_network(INVERSE_INPUTS))
 
 
 def test_first_steps_from_blank_nets_frozen():
@@ -181,17 +181,17 @@ def test_loop_options_validation():
 
 def test_controller_action_rejects_unknown_scaling():
     with pytest.raises(ValueError):
-        controller_action(make_controller_net(), 0, 0, "percent")
+        controller_action(init_network(CONTROLLER_INPUTS), 0, 0, "percent")
 
 
 def test_controller_action_is_quantised():
-    ctl = make_controller_net(seed=1)
+    ctl = init_network(CONTROLLER_INPUTS, seed=1)
     for eps in (-255, -100, 0, 100, 255):
         assert 0 <= controller_action(ctl, eps, 0) <= 255
 
 
 def test_inverse_action_is_quantised():
-    inv = make_inverse_net(seed=1)
+    inv = init_network(INVERSE_INPUTS, seed=1)
     for e in (0, 80, 255):
         assert 0 <= inverse_action(inv, e, e, e) <= 255
 
@@ -213,5 +213,47 @@ def test_run_simulation_is_deterministic():
 def test_run_simulation_returns_trained_nets():
     recs, (ctl, inv) = run_simulation(SimConfig(steps=30))
     assert len(recs) == 30
-    fresh = make_inverse_net(seed=SimConfig().seed_inverse)
-    assert inv.net.weights != fresh.net.weights  # training moved the params
+    fresh = init_network(INVERSE_INPUTS, seed=SimConfig().seed_inverse)
+    assert inv.w1 != fresh.w1  # training moved the params
+
+
+# SHA-256 of trajectory.csv for the default run and each wiring switch; any
+# change to the nets' arithmetic, the draw order or the step order moves them.
+TRAJECTORY_DIGESTS = [
+    pytest.param(
+        {}, "0c138d5f826072772654b67ad41c1d9c06ab918bd57e611d7871a00f6bd0f93e", id="default"
+    ),
+    pytest.param(
+        {"steps": 300},
+        "6fab2143c0ea8bc62794bdf6ad8e31a1d40ab7ff76f68f079593957e6e92c445",
+        id="steps300",
+    ),
+    pytest.param(
+        {"steps": 300, "use_bias": False},
+        "9b86a496f5329616ce29dd656ddfab84ce6fdbe2dfafb4164e57c60ac6bfdf50",
+        id="no_bias",
+    ),
+    pytest.param(
+        {"steps": 300, "error_scaling": "shared255"},
+        "65743c8abbe12071281562a965469768ba56de710feb835ea8a97f31a4b31814",
+        id="shared255",
+    ),
+    pytest.param(
+        {"steps": 300, "plant_delay": 0},
+        "270e99e976b865fdd80aeb33a56d7c1a7dea5197affbcdcc9577cee32dffb245",
+        id="plant_delay0",
+    ),
+    pytest.param(
+        {"steps": 300, "inverse_target_lag": 1},
+        "d886a4f13ae319fa943d1c56a0608d1418e034bca620c8fea33ce45e141f54fc",
+        id="target_lag1",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", TRAJECTORY_DIGESTS)
+def test_trajectory_digest_is_frozen(overrides, digest, tmp_path):
+    recs, _ = run_simulation(SimConfig(**overrides))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(recs, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,4 +1,4 @@
-"""Tests for the from-scratch MLP: activations, backprop, training, storage."""
+"""Tests for the from-scratch n-3-1 net: tanh, init, backprop, training."""
 
 import math
 
@@ -6,221 +6,157 @@ import pytest
 
 from daylux.rng import SplitMix64
 from daylux.tinynet import (
-    ActivationKind,
-    activation_derivative,
-    activation_eval,
     backprop_gradients,
     forward,
     init_network,
-    load_network,
     loss_eval,
     numeric_gradient,
-    save_network,
+    tanh,
     train_step,
 )
-
-TANH_LINEAR = (ActivationKind.TANH, ActivationKind.LINEAR)
-
-
-def small_net(widths=(2, 3, 1), seed=0, **kw):
-    return init_network(widths, TANH_LINEAR, seed=seed, **kw)
 
 
 def test_tanh_matches_reference():
     for i in range(-120, 121):
         x = i / 10.0
-        assert activation_eval(ActivationKind.TANH, x) == pytest.approx(
-            math.tanh(x), abs=1e-15
-        )
+        assert tanh(x) == pytest.approx(math.tanh(x), abs=1e-15)
 
 
 def test_tanh_saturates_without_overflow():
-    assert activation_eval(ActivationKind.TANH, 25.0) == 1.0
-    assert activation_eval(ActivationKind.TANH, -25.0) == -1.0
-    assert activation_eval(ActivationKind.TANH, 1e6) == 1.0
+    assert tanh(25.0) == 1.0
+    assert tanh(-25.0) == -1.0
+    assert tanh(1e6) == 1.0
 
 
 def test_linear_is_identity():
-    for x in (-2.0, 0.0, 0.731):
-        assert activation_eval(ActivationKind.LINEAR, x) == x
+    # hidden units pinned at tanh(20) = 1, so the output is the bare sum,
+    # which a squashing output could not reach
+    net = init_network(2)
+    for row in net.w1:
+        row[:] = [0.0, 0.0, 20.0]
+    net.w2[:] = [2.0, 2.0, 2.0, 0.5]
+    y, h = forward(net, [0.3, -0.3])
+    assert h == [1.0, 1.0, 1.0]
+    assert y == 6.5
 
 
 def test_derivatives_from_output():
-    y = activation_eval(ActivationKind.TANH, 0.4)
-    assert activation_derivative(ActivationKind.TANH, y) == 1.0 - y * y
-    assert activation_derivative(ActivationKind.LINEAR, 123.0) == 1.0
+    # hidden deltas use tanh' = 1 - y**2 on the neuron's own output
+    net = init_network(2, seed=4)
+    x, t = [0.4, -0.6], 0.2
+    y, h = forward(net, x)
+    _, grad_w1, grad_w2 = backprop_gradients(net, x, t)
+    d = y - t
+    assert grad_w2 == [d * hj for hj in h] + [d]
+    for row, wj, hj in zip(grad_w1, net.w2, h):
+        dj = wj * d * (1.0 - hj * hj)
+        assert row == [dj * v for v in x] + [dj]
 
 
 def test_init_network_frozen_seed0():
-    net = small_net(seed=0)
-    assert net.layer_widths == (2, 3, 1)
-    assert net.activations == TANH_LINEAR
-    assert net.weights[0] == [
-        [0.3833108082136426, -0.06847200295149003],
-        [0.4708819781538285, -0.39365330843278756],
-        [-0.32613213404031716, 0.271546556331567],
+    net = init_network(2, seed=0)
+    assert net.n_inputs == 2
+    assert net.w1 == [
+        [0.3833108082136426, -0.06847200295149003, -0.47356622840740226],
+        [0.4708819781538285, -0.39365330843278756, -0.17267423578187424],
+        [-0.32613213404031716, 0.271546556331567, -0.25431105115986863],
     ]
-    assert net.biases[0] == [
-        -0.47356622840740226,
-        -0.17267423578187424,
-        -0.25431105115986863,
+    assert net.w2 == [
+        0.4520306913678265, -0.10353202437118647, 0.2610344216276269, 0.02395059165495128
     ]
-    assert net.weights[1] == [[0.4520306913678265, -0.10353202437118647, 0.2610344216276269]]
-    assert net.biases[1] == [0.02395059165495128]
 
 
 def test_init_network_draw_order_is_stable_without_bias():
     # bias draws are skipped entirely, so the first neuron's weights match
-    with_b = small_net(seed=0)
-    without_b = small_net(seed=0, use_bias=False)
-    assert without_b.weights[0][0] == with_b.weights[0][0]
-    assert all(b == 0.0 for layer in without_b.biases for b in layer)
+    with_b = init_network(2, seed=0)
+    without_b = init_network(2, seed=0, use_bias=False)
+    assert without_b.w1[0][:2] == with_b.w1[0][:2]
+    assert all(row[-1] == 0.0 for row in without_b.w1 + [without_b.w2])
 
 
 def test_init_network_bounds_property():
     for seed in range(30):
-        net = small_net(widths=(3, 3, 1), seed=seed)
-        for layer in net.weights:
-            for row in layer:
-                assert all(-0.5 <= w <= 0.5 for w in row)
-        for layer in net.biases:
-            assert all(-0.5 <= b <= 0.5 for b in layer)
+        net = init_network(3, seed=seed)
+        for row in net.w1 + [net.w2]:
+            assert all(-0.5 <= w <= 0.5 for w in row)
 
 
 def test_init_network_validation():
     with pytest.raises(ValueError):
-        init_network((3,), (ActivationKind.TANH,))
+        init_network(2, learning_rate=0.0)
     with pytest.raises(ValueError):
-        init_network((2, 0, 1), TANH_LINEAR)
-    with pytest.raises(ValueError):
-        init_network((2, 3, 1), (ActivationKind.TANH,))
-    with pytest.raises(ValueError):
-        init_network((2, 3, 1), TANH_LINEAR, learning_rate=0.0)
-    with pytest.raises(ValueError):
-        init_network((2, 3, 1), ("tanh", "linear"))
-
-
-def test_n_parameters():
-    assert small_net().n_parameters() == 13  # 9 weights + 4 biases
-    assert small_net(use_bias=False).n_parameters() == 9
-    assert small_net(widths=(3, 3, 1)).n_parameters() == 16
+        init_network(2, learning_rate=float("nan"))
 
 
 def test_forward_trace_shape():
-    net = small_net()
-    outputs, trace = forward(net, [0.2, -0.7])
-    assert len(outputs) == 1
-    assert trace[0] == [0.2, -0.7]
-    assert len(trace) == 3 and len(trace[1]) == 3 and trace[2] == outputs
+    y, h = forward(init_network(2), [0.2, -0.7])
+    assert isinstance(y, float)
+    assert len(h) == 3 and all(-1.0 < v < 1.0 for v in h)
 
 
 def test_forward_zeroed_net_outputs_bias():
-    net = small_net()
-    for layer in net.weights:
-        for row in layer:
-            row[:] = [0.0] * len(row)
-    net.biases[0] = [0.0, 0.0, 0.0]
-    net.biases[1] = [0.25]
-    outputs, _ = forward(net, [0.9, -0.9])
-    assert outputs == [0.25]
+    net = init_network(2)
+    for row in net.w1:
+        row[:] = [0.0, 0.0, 0.0]
+    net.w2[:] = [0.0, 0.0, 0.0, 0.25]
+    y, _ = forward(net, [0.9, -0.9])
+    assert y == 0.25
 
 
 def test_forward_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        forward(small_net(), [0.1])
+        forward(init_network(2), [0.1])
     with pytest.raises(ValueError):
-        loss_eval(small_net(), [0.1, 0.2], [0.0, 0.0])
+        loss_eval(init_network(3), [0.1, 0.2], 0.0)
 
 
 def test_loss_eval_definition():
-    net = small_net()
+    net = init_network(2)
     y, _ = forward(net, [0.3, 0.1])
-    assert loss_eval(net, [0.3, 0.1], [0.5]) == pytest.approx(
-        0.5 * (0.5 - y[0]) ** 2, rel=1e-15
-    )
+    assert loss_eval(net, [0.3, 0.1], 0.5) == pytest.approx(0.5 * (0.5 - y) ** 2, rel=1e-15)
 
 
 def test_backprop_matches_numeric_gradient():
     rng = SplitMix64(2024)
     worst = 0.0
     for trial in range(40):
-        widths = (2, 3, 1) if trial % 2 == 0 else (3, 3, 1)
-        net = init_network(widths, TANH_LINEAR, seed=rng.next_u64())
-        x = [rng.uniform(-1.0, 1.0) for _ in range(widths[0])]
-        t = [rng.uniform(-1.0, 1.0)]
-        _, gw, gb = backprop_gradients(net, x, t)
-        nw, nb = numeric_gradient(net, x, t)
-        for l in range(net.n_layers()):
-            for j in range(len(gw[l])):
-                for i in range(len(gw[l][j])):
-                    err = abs(gw[l][j][i] - nw[l][j][i]) / max(abs(nw[l][j][i]), 1e-8)
-                    worst = max(worst, err)
-                err = abs(gb[l][j] - nb[l][j]) / max(abs(nb[l][j]), 1e-8)
-                worst = max(worst, err)
+        n = 2 if trial % 2 == 0 else 3
+        net = init_network(n, seed=rng.next_u64())
+        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        t = rng.uniform(-1.0, 1.0)
+        _, gw1, gw2 = backprop_gradients(net, x, t)
+        nw1, nw2 = numeric_gradient(net, x, t)
+        for row, ref_row in zip(gw1 + [gw2], nw1 + [nw2]):
+            assert len(row) == len(ref_row)
+            for g, ref in zip(row, ref_row):
+                worst = max(worst, abs(g - ref) / max(abs(ref), 1e-8))
     assert worst < 1e-6
 
 
 def test_train_step_returns_pre_update_loss():
-    net = small_net(seed=7)
-    before = loss_eval(net, [0.3, -0.2], [0.5])
-    loss = train_step(net, [0.3, -0.2], [0.5])
+    net = init_network(2, seed=7)
+    before = loss_eval(net, [0.3, -0.2], 0.5)
+    loss = train_step(net, [0.3, -0.2], 0.5)
     assert loss == before == 0.0173446038153871
-    out, _ = forward(net, [0.3, -0.2])
-    assert out[0] == 0.3611619615758882  # moved toward the target
+    y, _ = forward(net, [0.3, -0.2])
+    assert y == 0.3611619615758882  # moved toward the target
 
 
 def test_training_converges_on_fixed_sample():
-    net = small_net(seed=3)
-    first = train_step(net, [0.4, 0.4], [-0.3])
+    net = init_network(2, seed=3)
+    first = train_step(net, [0.4, 0.4], -0.3)
     for _ in range(199):
-        last = train_step(net, [0.4, 0.4], [-0.3])
+        last = train_step(net, [0.4, 0.4], -0.3)
     assert last < first
-    assert loss_eval(net, [0.4, 0.4], [-0.3]) < 1e-8
+    assert loss_eval(net, [0.4, 0.4], -0.3) < 1e-8
 
 
 def test_train_step_respects_use_bias():
-    net = small_net(seed=5, use_bias=False)
-    train_step(net, [0.1, 0.2], [0.3])
-    assert all(b == 0.0 for layer in net.biases for b in layer)
-
-
-def test_save_load_round_trip(tmp_path):
-    net = small_net(widths=(3, 3, 1), seed=9)
-    train_step(net, [0.1, -0.4, 0.8], [0.2])
-    path = tmp_path / "net.txt"
-    save_network(net, path)
-    back = load_network(path)
-    assert back.layer_widths == net.layer_widths
-    assert back.activations == net.activations
-    assert back.learning_rate == net.learning_rate
-    assert back.use_bias == net.use_bias
-    assert back.weights == net.weights  # bit-exact via repr round trip
-    assert back.biases == net.biases
-
-
-def test_load_network_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a network\n")
-    with pytest.raises(ValueError) as err:
-        load_network(path)
-    assert "bad.txt" in str(err.value)
-
-
-def test_load_network_rejects_truncated_body(tmp_path):
-    net = small_net(seed=1)
-    path = tmp_path / "net.txt"
-    save_network(net, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")  # drop the last two params
-    with pytest.raises(ValueError):
-        load_network(path)
-
-
-def test_load_network_missing_file(tmp_path):
-    with pytest.raises(OSError):
-        load_network(tmp_path / "absent.txt")
+    net = init_network(2, seed=5, use_bias=False)
+    train_step(net, [0.1, 0.2], 0.3)
+    assert all(row[-1] == 0.0 for row in net.w1 + [net.w2])
 
 
 def test_numeric_gradient_rejects_bad_step():
     with pytest.raises(ValueError):
-        numeric_gradient(small_net(), [0.1, 0.2], [0.3], h=0.0)
+        numeric_gradient(init_network(2), [0.1, 0.2], 0.3, h=0.0)
