@@ -9,6 +9,7 @@ measurements.  The plant is a monotone look-up table, all signals live on an
 
 from .config import ConfigError, SimConfig
 from .loop import (
+    DivergenceError,
     LoopOptions,
     LoopState,
     StepRecord,
@@ -60,6 +61,7 @@ __all__ = [
     "BandReport",
     "ConfigError",
     "DaylightTrajectory",
+    "DivergenceError",
     "LoopOptions",
     "LoopState",
     "ProcessLut",

@@ -7,8 +7,8 @@ Three commands:
   daylux gradcheck  compare backprop gradients against central differences
   daylux lut        generate or inspect command-to-illuminance tables
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error, 3 gradient
-check failed its tolerance.
+Exit codes: 0 success, 1 validation/usage error or a diverged run, 2 I/O
+error, 3 gradient check failed its tolerance.
 """
 
 from __future__ import annotations

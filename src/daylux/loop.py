@@ -35,6 +35,7 @@ pairing with U(k-1) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from . import config as config_mod
 from .plant import DaylightTrajectory, ProcessLut, lut_eval
@@ -50,6 +51,23 @@ from .tinynet import TinyNet, forward, init_network, train_step
 
 CONTROLLER_INPUTS = 2
 INVERSE_INPUTS = 3
+
+
+class DivergenceError(ValueError):
+    """A net's output or training loss stopped being a finite number.
+
+    ``net`` is "controller" or "inverse model"; ``k`` is the step at fault,
+    which ``run_loop`` fills in (None when raised outside it).
+    """
+
+    def __init__(self, net: str, k: int | None = None) -> None:
+        at = "" if k is None else f" at step k={k}"
+        super().__init__(
+            f"{net} diverged{at}: its output or loss is no longer finite "
+            "(lower its learning rate)"
+        )
+        self.net = net
+        self.k = k
 
 
 @dataclass
@@ -82,7 +100,7 @@ class LoopState:
     u_prev: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     k: int
     e_desired: int
@@ -103,6 +121,8 @@ def controller_action(
     """Command U for the current error pair; always a valid 8-bit value."""
     x = [scale_error(eps, error_scaling), scale_delta_error(deps, error_scaling)]
     y, _ = forward(ctl, x)
+    if not isfinite(y):
+        raise DivergenceError("controller")
     return unit_to_d8bv(y)
 
 
@@ -114,6 +134,8 @@ def inverse_action(inv: TinyNet, e2: int, e1: int, e0: int) -> int:
     """
     x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
     y, _ = forward(inv, x)
+    if not isfinite(y):
+        raise DivergenceError("inverse model")
     return unit_to_d8bv(y)
 
 
@@ -121,7 +143,7 @@ def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
     """One online update toward triple -> command; returns pre-update loss."""
     e2, e1, e0 = e_triple
     x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
-    return train_step(inv, x, scale_to_unit(check_d8bv(u_target, "u_target")))
+    return _descend(inv, x, scale_to_unit(check_d8bv(u_target, "u_target")), "inverse model")
 
 
 def train_controller(
@@ -133,7 +155,18 @@ def train_controller(
 ) -> float:
     """One online update toward (eps, deps) -> U_IM; returns pre-update loss."""
     x = [scale_error(eps_prev, error_scaling), scale_delta_error(deps_prev, error_scaling)]
-    return train_step(ctl, x, scale_to_unit(check_d8bv(u_im, "u_im")))
+    return _descend(ctl, x, scale_to_unit(check_d8bv(u_im, "u_im")), "controller")
+
+
+def _descend(net: TinyNet, x: list[float], target: float, name: str) -> float:
+    """train_step, with an overflowing or non-finite loss raised as divergence."""
+    try:
+        loss = train_step(net, x, target)
+    except OverflowError:
+        raise DivergenceError(name) from None
+    if not isfinite(loss):
+        raise DivergenceError(name)
+    return loss
 
 
 def loop_step(
@@ -211,11 +244,18 @@ def run_loop(
     e_desired: int,
     options: LoopOptions | None = None,
 ) -> list[StepRecord]:
-    """Drive loop_step over a whole daylight trajectory."""
+    """Drive loop_step over a whole daylight trajectory.
+
+    Raises DivergenceError naming the step and the net when either net's
+    output or loss stops being finite.
+    """
     state = LoopState()
     records = []
     for sample in daylight.samples:
-        state, record = loop_step(state, ctl, inv, lut, e_desired, sample, options)
+        try:
+            state, record = loop_step(state, ctl, inv, lut, e_desired, sample, options)
+        except DivergenceError as exc:
+            raise DivergenceError(exc.net, state.k) from None
         records.append(record)
     return records
 

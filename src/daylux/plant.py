@@ -46,6 +46,9 @@ class ProcessLut:
     """
 
     knots: tuple[tuple[int, int], ...]
+    # The knots split into u and e columns once, for lut_eval.
+    _us: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _es: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.knots) < 2:
@@ -60,19 +63,21 @@ class ProcessLut:
             if e < prev_e:
                 raise ValueError(f"LUT knot e values must be non-decreasing (e={e} after {prev_e})")
             prev_u, prev_e = u, e
+        object.__setattr__(self, "_us", tuple(u for u, _ in self.knots))
+        object.__setattr__(self, "_es", tuple(e for _, e in self.knots))
 
     def u_values(self) -> list[int]:
-        return [u for u, _ in self.knots]
+        return list(self._us)
 
     def e_values(self) -> list[int]:
-        return [e for _, e in self.knots]
+        return list(self._es)
 
 
 def lut_eval(lut: ProcessLut, u: int) -> int:
     """Electric illuminance for command u (piecewise-linear, rounded)."""
     check_d8bv(u, "u")
-    us = lut.u_values()
-    es = lut.e_values()
+    us = lut._us
+    es = lut._es
     if u <= us[0]:
         return es[0]
     if u >= us[-1]:

@@ -35,6 +35,8 @@ def round_half_away(x: float) -> int:
 
 def check_d8bv(value: int, name: str = "value") -> int:
     """Validate an 8-bit signal; bools are rejected, range is [0, 255]."""
+    if type(value) is int and 0 <= value <= 255:  # the per-step case, checked first
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
     if not D8BV_MIN <= value <= D8BV_MAX:

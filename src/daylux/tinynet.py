@@ -15,8 +15,8 @@ Conventions:
   order.  The tanh is computed from exponentials; its derivative is taken
   from the neuron's own output (tanh' = 1 - y**2).
 * The loss is 0.5 * (target - output)**2.  ``train_step`` returns the loss
-  *before* the update, i.e. the quantity the step descends on, and computes
-  every gradient before changing any parameter.
+  *before* the update, i.e. the quantity the step descends on, and takes
+  every gradient from the pre-update parameters.
 * Initial parameters are uniform in [-0.5, 0.5], drawn from a seeded
   :class:`~daylux.rng.SplitMix64` stream row by row: hidden rows, then the
   output row, each row's weights in input order followed (when biases are
@@ -85,21 +85,19 @@ def init_network(
     return TinyNet(w1, row(HIDDEN_WIDTH), learning_rate, use_bias)
 
 
-def _weighted_sum(row: list[float], values: list[float]) -> float:
-    """Bias (the row's last entry, which zip leaves out) plus w * v in input order."""
-    s = row[-1]
-    for w, v in zip(row, values):
-        s += w * v
-    return s
-
-
 def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
     """Run the network; returns (output, hidden activations)."""
-    x = [float(v) for v in inputs]
-    if len(x) != net.n_inputs:
+    x = list(map(float, inputs))
+    if len(x) != len(net.w1[0]) - 1:
         raise ValueError(f"expected {net.n_inputs} inputs, got {len(x)}")
-    h = [tanh(_weighted_sum(row, x)) for row in net.w1]
-    return _weighted_sum(net.w2, h), h
+    h = []
+    for row in net.w1:
+        s = row[-1]  # bias first, then w * v in input order (zip drops the bias)
+        for w, v in zip(row, x):
+            s += w * v
+        h.append(tanh(s))
+    w2 = net.w2
+    return w2[3] + w2[0] * h[0] + w2[1] * h[1] + w2[2] * h[2], h
 
 
 def loss_eval(net: TinyNet, inputs, target: float) -> float:
@@ -127,13 +125,30 @@ def backprop_gradients(net: TinyNet, inputs, target: float):
 
 
 def train_step(net: TinyNet, inputs, target: float) -> float:
-    """One online gradient-descent update; returns the pre-update loss."""
-    loss, grad_w1, grad_w2 = backprop_gradients(net, inputs, target)
+    """One online gradient-descent update; returns the pre-update loss.
+
+    The same arithmetic as applying ``backprop_gradients`` (``w -= lr * g``),
+    fused: the hidden deltas are taken from the pre-update output row before
+    any parameter changes, and the rows are then updated in place.
+    """
+    t = float(target)
+    x = list(map(float, inputs))
+    y, h = forward(net, x)
+    d = y - t
+    loss = 0.5 * (t - y) ** 2
     lr = net.learning_rate
-    skip_bias = 0 if net.use_bias else 1  # the bias is each row's last entry
-    for row, grad in zip(net.w1 + [net.w2], grad_w1 + [grad_w2]):
-        for i in range(len(row) - skip_bias):
-            row[i] -= lr * grad[i]
+    use_bias = net.use_bias
+    w2 = net.w2
+    for row, wj, hj in zip(net.w1, w2, h):
+        dj = wj * d * (1.0 - hj * hj)
+        for i, v in enumerate(x):
+            row[i] -= lr * (dj * v)
+        if use_bias:
+            row[-1] -= lr * dj
+    for j, hj in enumerate(h):
+        w2[j] -= lr * (d * hj)
+    if use_bias:
+        w2[3] -= lr * d
     return loss
 
 

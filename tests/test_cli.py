@@ -91,6 +91,15 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["bogus"]) == 1
 
 
+def test_diverging_run_exits_1_with_one_error_line(tmp_path, capsys):
+    code, out = run_simulate(tmp_path, "--steps", "200", "--gamma-controller", "50")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: controller diverged at step k=69: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()  # artifacts of the completed steps are not written
+
+
 def test_missing_table_on_inspect_exits_2(tmp_path, capsys):
     assert main(["lut", "inspect", str(tmp_path / "absent.csv")]) == 2
     assert "io error" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Tests for the closed loop: wiring identities, step ordering, determinism."""
 
+import dataclasses
 import hashlib
 import math
+import sys
 
 import pytest
 
@@ -10,6 +12,7 @@ from daylux.config import SimConfig
 from daylux.loop import (
     CONTROLLER_INPUTS,
     INVERSE_INPUTS,
+    DivergenceError,
     LoopOptions,
     LoopState,
     controller_action,
@@ -257,3 +260,68 @@ def test_trajectory_digest_is_frozen(overrides, digest, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(recs, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_step_record_is_frozen():
+    recs, _ = run_simulation(SimConfig(steps=2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        recs[0].u = 7
+
+
+@pytest.mark.parametrize("net_name", ["controller", "inverse model"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_divergence_names_the_step_and_the_net(net_name, bad):
+    # nan/inf make the output non-finite at once; 1e300 keeps it finite
+    # (the command saturates) until the squared error overflows in training
+    ctl, inv = init_network(CONTROLLER_INPUTS), init_network(INVERSE_INPUTS)
+    (ctl if net_name == "controller" else inv).w2[-1] = bad
+    with pytest.raises(DivergenceError) as info:
+        run_loop(synth_default_lut(), gen_daylight("constant", 5), ctl, inv, 100)
+    # the controller first trains at k=1; the inverse model trains at k=0
+    k = 1 if (net_name, bad) == ("controller", 1e300) else 0
+    assert (info.value.net, info.value.k) == (net_name, k)
+    assert f"{net_name} diverged at step k={k}" in str(info.value)
+
+
+def test_runaway_learning_rate_is_a_divergence_error():
+    with pytest.raises(DivergenceError, match=r"^controller diverged at step k=69: "):
+        run_simulation(SimConfig(steps=200, gamma_controller=50.0))
+
+
+# The benchmark's traced run pins these per-step call counts; a change to the
+# loop's call graph has to update the benchmark in the same change.
+PINNED_CALLS_PER_STEP = {
+    ("tinynet", "forward"): 4,
+    ("tinynet", "train_step"): 2,
+    ("plant", "lut_eval"): 1,
+    ("signals", "check_d8bv"): 22,
+}
+
+
+def test_per_step_call_counts(monkeypatch):
+    # wrap each name in every daylux module that binds it, where callers look
+    # it up, then count over two run lengths so set-up calls cancel out
+    counts = dict.fromkeys(PINNED_CALLS_PER_STEP, 0)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "daylux"]
+    for key in PINNED_CALLS_PER_STEP:
+        home, name = key
+        original = getattr(sys.modules[f"daylux.{home}"], name)
+        wrapper = counting(key, original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    totals = []
+    for steps in (50, 150):
+        counts.update(dict.fromkeys(counts, 0))
+        run_simulation(SimConfig(steps=steps))
+        totals.append(dict(counts))
+    per_step = {key: (totals[1][key] - totals[0][key]) / 100 for key in counts}
+    assert per_step == PINNED_CALLS_PER_STEP

@@ -1,5 +1,7 @@
 """Tests for the LUT plant, daylight generators, and their CSV formats."""
 
+from fractions import Fraction
+
 import pytest
 
 from daylux.plant import (
@@ -224,3 +226,34 @@ def test_daylight_csv_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(TableFormatError):
         load_daylight_csv(path)
+
+
+def test_process_lut_equality_hash_and_repr_see_only_knots():
+    a = synth_default_lut()
+    b = ProcessLut(tuple((u, e) for u, e in a.knots))  # a distinct, equal knot tuple
+    assert a == b and hash(a) == hash(b)
+    assert a != ProcessLut(((0, 0), (255, 180)))
+    assert repr(a) == f"ProcessLut(knots={a.knots!r})"
+    assert a.u_values() == [u for u, _ in a.knots]
+    assert a.e_values() == [e for _, e in a.knots]
+    assert type(a.u_values()) is list and type(a.e_values()) is list
+
+
+def _interpolate_exactly(knots, u):
+    """Piecewise-linear value at u in exact rationals, rounded half away from zero."""
+    if u <= knots[0][0]:
+        return knots[0][1]
+    for (u0, e0), (u1, e1) in zip(knots, knots[1:]):
+        if u <= u1:
+            e = e0 + Fraction(u - u0, u1 - u0) * (e1 - e0)
+            return int(e + Fraction(1, 2))  # e >= 0, so int() floors
+    return knots[-1][1]
+
+
+def test_lut_eval_matches_exact_interpolation_on_every_command(tmp_path):
+    path = tmp_path / "lut.csv"
+    # a flat run, a tie (u=201 -> 181.5) and ends short of 0 and 255
+    path.write_text("u,e\n5,2\n12,3\n37,50\n100,50\n101,51\n200,180\n250,255\n")
+    for lut in (synth_default_lut(), load_lut_csv(path)):
+        for u in range(256):
+            assert lut_eval(lut, u) == _interpolate_exactly(lut.knots, u), u

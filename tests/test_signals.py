@@ -1,5 +1,7 @@
 """Tests for 8-bit signal scaling, quantization, and clamped addition."""
 
+from enum import IntEnum
+
 import pytest
 
 from daylux.signals import (
@@ -113,3 +115,18 @@ def test_check_d8bv_rejects_bad_values():
         check_d8bv(True)  # bool is not a signal value
     with pytest.raises(ValueError):
         check_d8bv(1.5)
+
+
+def test_check_d8bv_slow_path_keeps_its_verdicts_and_messages():
+    class Level(IntEnum):
+        FIVE = 5
+
+    assert check_d8bv(Level.FIVE) is Level.FIVE  # int subclass, not bool: accepted
+    with pytest.raises(ValueError, match=r"^flag must be an int, got bool$"):
+        check_d8bv(True, "flag")
+    with pytest.raises(ValueError, match=r"^value must be an int, got float$"):
+        check_d8bv(3.0)
+    with pytest.raises(ValueError, match=r"^u must be in \[0, 255\], got -1$"):
+        check_d8bv(-1, "u")
+    with pytest.raises(ValueError, match=r"^value must be in \[0, 255\], got 256$"):
+        check_d8bv(256)

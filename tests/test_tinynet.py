@@ -160,3 +160,32 @@ def test_train_step_respects_use_bias():
 def test_numeric_gradient_rejects_bad_step():
     with pytest.raises(ValueError):
         numeric_gradient(init_network(2), [0.1, 0.2], 0.3, h=0.0)
+
+
+def test_train_step_is_the_backprop_update_bit_for_bit():
+    # train_step fuses backward and update; backprop_gradients is the
+    # separate path gradcheck uses, so the two must never drift apart
+    rng = SplitMix64(99)
+    for trial in range(48):
+        n = 2 + trial % 2
+        use_bias = trial % 4 < 2
+        net = init_network(n, learning_rate=0.15 + 0.1 * (trial % 3),
+                           seed=rng.next_u64(), use_bias=use_bias)
+        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        if trial % 3 == 0:  # drive one hidden unit into saturation, |sum| >= 20
+            x[0] = 0.9
+            net.w1[(trial // 3) % 3][0] = 40.0 if trial % 2 else -40.0
+        t = rng.uniform(-1.0, 1.0)
+        loss, gw1, gw2 = backprop_gradients(net, x, t)
+        lr = net.learning_rate
+
+        def updated(row, grad):
+            trained = len(row) if use_bias else len(row) - 1  # bias is the last slot
+            return [(w - lr * g if i < trained else w).hex()
+                    for i, (w, g) in enumerate(zip(row, grad))]
+
+        want = [updated(row, g) for row, g in zip(net.w1 + [net.w2], gw1 + [gw2])]
+        assert train_step(net, x, t).hex() == loss.hex()
+        assert [[w.hex() for w in row] for row in net.w1 + [net.w2]] == want
+        if not use_bias:
+            assert all(row[-1] == 0.0 for row in net.w1 + [net.w2])
