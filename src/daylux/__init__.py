@@ -10,7 +10,6 @@ measurements.  The plant is a monotone look-up table, all signals live on an
 from .config import ConfigError, SimConfig
 from .loop import (
     DivergenceError,
-    LoopOptions,
     LoopState,
     StepRecord,
     controller_action,
@@ -31,7 +30,6 @@ from .plant import (
     load_lut_csv,
     lut_eval,
     lut_inverse,
-    plant_measure,
     save_daylight_csv,
     save_lut_csv,
     synth_default_lut,
@@ -62,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DaylightTrajectory",
     "DivergenceError",
-    "LoopOptions",
     "LoopState",
     "ProcessLut",
     "SimConfig",
@@ -86,7 +83,6 @@ __all__ = [
     "lut_eval",
     "lut_inverse",
     "numeric_gradient",
-    "plant_measure",
     "round_half_away",
     "run_loop",
     "run_simulation",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .config import (
     ConfigError,
@@ -40,7 +41,6 @@ from .signals import ERROR_SCALINGS
 from .tinynet import backprop_gradients, init_network, numeric_gradient
 
 GRADCHECK_TOLERANCE = 1e-5
-_COMMANDS = ("simulate", "gradcheck", "lut")
 
 
 class UsageError(ValueError):
@@ -67,10 +67,14 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed-daylight", type=int, help="daylight trajectory seed")
     sim.add_argument(
         "--lut",
+        dest="lut_source",
+        metavar="LUT",
         help="plant table: synthetic[:e_max=..,shape=..,knots=..] or csv:PATH",
     )
     sim.add_argument(
         "--daylight",
+        dest="daylight_source",
+        metavar="DAYLIGHT",
         help="disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH",
     )
     sim.add_argument("--warmup", type=int, help="steps excluded from band metrics (default 200)")
@@ -87,7 +91,13 @@ def build_parser() -> _Parser:
         choices=(0, 1),
         help="steps between command and measured response (default 1)",
     )
-    sim.add_argument("--no-bias", action="store_true", help="train both nets without bias terms")
+    sim.add_argument(
+        "--no-bias",
+        dest="use_bias",
+        action="store_false",
+        default=None,
+        help="train both nets without bias terms",
+    )
     sim.add_argument("--out-dir", help="artifact directory (default out)")
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
@@ -113,27 +123,12 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     cfg = SimConfig()
     if ns.config:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
-    direct = {
-        "steps": ns.steps,
-        "e_desired": ns.e_desired,
-        "gamma_controller": ns.gamma_controller,
-        "gamma_inverse": ns.gamma_inverse,
-        "seed_controller": ns.seed_controller,
-        "seed_inverse": ns.seed_inverse,
-        "seed_daylight": ns.seed_daylight,
-        "lut_source": ns.lut,
-        "daylight_source": ns.daylight,
-        "warmup": ns.warmup,
-        "error_scaling": ns.error_scaling,
-        "inverse_target_lag": ns.inverse_target_lag,
-        "plant_delay": ns.plant_delay,
-        "out_dir": ns.out_dir,
-    }
-    for key, value in direct.items():
+    # Every SimConfig field has a flag whose dest is the field name; an
+    # omitted flag leaves None in the namespace.
+    for f in fields(SimConfig):
+        value = getattr(ns, f.name)
         if value is not None:
-            setattr(cfg, key, value)
-    if ns.no_bias:
-        cfg.use_bias = False
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 

@@ -184,11 +184,11 @@ def apply_settings(cfg: SimConfig, settings: dict[str, str], origin: str) -> Non
             raise ConfigError(f"{origin}: unknown config key {key!r}")
         ftype = _FIELD_TYPES[key]
         try:
-            if ftype == "bool" or ftype is bool:
+            if ftype == "bool":
                 parsed = _BOOL_WORDS[value.strip().lower()]
-            elif ftype == "int" or ftype is int:
+            elif ftype == "int":
                 parsed = int(value)
-            elif ftype == "float" or ftype is float:
+            elif ftype == "float":
                 parsed = float(value)
             else:
                 parsed = value

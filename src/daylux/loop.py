@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 from . import config as config_mod
+from .config import SimConfig
 from .plant import DaylightTrajectory, ProcessLut, lut_eval
 from .signals import (
     check_d8bv,
@@ -68,19 +69,6 @@ class DivergenceError(ValueError):
         )
         self.net = net
         self.k = k
-
-
-@dataclass
-class LoopOptions:
-    error_scaling: str = "independent"
-    inverse_target_lag: int = 0
-    plant_delay: int = 1
-
-    def __post_init__(self) -> None:
-        if self.inverse_target_lag not in (0, 1):
-            raise ValueError(f"inverse_target_lag must be 0 or 1, got {self.inverse_target_lag}")
-        if self.plant_delay not in (0, 1):
-            raise ValueError(f"plant_delay must be 0 or 1, got {self.plant_delay}")
 
 
 @dataclass
@@ -119,7 +107,7 @@ def controller_action(
     ctl: TinyNet, eps: int, deps: int, error_scaling: str = "independent"
 ) -> int:
     """Command U for the current error pair; always a valid 8-bit value."""
-    x = [scale_error(eps, error_scaling), scale_delta_error(deps, error_scaling)]
+    x = [scale_error(eps), scale_delta_error(deps, error_scaling)]
     y, _ = forward(ctl, x)
     if not isfinite(y):
         raise DivergenceError("controller")
@@ -154,7 +142,7 @@ def train_controller(
     error_scaling: str = "independent",
 ) -> float:
     """One online update toward (eps, deps) -> U_IM; returns pre-update loss."""
-    x = [scale_error(eps_prev, error_scaling), scale_delta_error(deps_prev, error_scaling)]
+    x = [scale_error(eps_prev), scale_delta_error(deps_prev, error_scaling)]
     return _descend(ctl, x, scale_to_unit(check_d8bv(u_im, "u_im")), "controller")
 
 
@@ -176,26 +164,29 @@ def loop_step(
     lut: ProcessLut,
     e_desired_k: int,
     e_daylight_k: int,
-    options: LoopOptions | None = None,
+    cfg: SimConfig | None = None,
 ):
     """Advance the closed loop one step; returns (state, StepRecord).
 
     The state object is updated in place and returned as the new state.
+    Only cfg's wiring switches are read; it must have passed validate(),
+    and None means the SimConfig defaults.
     """
-    opts = options if options is not None else LoopOptions()
+    if cfg is None:
+        cfg = SimConfig()
     check_d8bv(e_desired_k, "e_desired_k")
     check_d8bv(e_daylight_k, "e_daylight_k")
 
-    if opts.plant_delay == 1:
+    if cfg.plant_delay == 1:
         e_electric = lut_eval(lut, state.u_prev)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
         eps = e_desired_k - e_measured
         deps = eps - state.eps_prev
-        u = controller_action(ctl, eps, deps, opts.error_scaling)
+        u = controller_action(ctl, eps, deps, cfg.error_scaling)
     else:
         # Zero-delay reading: the controller acts on the freshest error it
         # has (last step's) and the plant answers within the same step.
-        u = controller_action(ctl, state.eps_prev, state.deps_prev, opts.error_scaling)
+        u = controller_action(ctl, state.eps_prev, state.deps_prev, cfg.error_scaling)
         e_electric = lut_eval(lut, u)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
         eps = e_desired_k - e_measured
@@ -204,14 +195,14 @@ def loop_step(
     _push_hist(state.e_measured_hist, e_measured)
     _push_hist(state.e_desired_hist, e_desired_k)
 
-    u_target = u if opts.inverse_target_lag == 0 else state.u_prev
+    u_target = u if cfg.inverse_target_lag == 0 else state.u_prev
     loss_inverse = train_inverse(inv, tuple(state.e_measured_hist), u_target)
 
     u_im = inverse_action(inv, *state.e_desired_hist)
 
     if state.k > 0:
         loss_controller = train_controller(
-            ctl, state.eps_prev, state.deps_prev, u_im, opts.error_scaling
+            ctl, state.eps_prev, state.deps_prev, u_im, cfg.error_scaling
         )
     else:
         loss_controller = 0.0
@@ -242,7 +233,7 @@ def run_loop(
     ctl: TinyNet,
     inv: TinyNet,
     e_desired: int,
-    options: LoopOptions | None = None,
+    cfg: SimConfig | None = None,
 ) -> list[StepRecord]:
     """Drive loop_step over a whole daylight trajectory.
 
@@ -253,14 +244,14 @@ def run_loop(
     records = []
     for sample in daylight.samples:
         try:
-            state, record = loop_step(state, ctl, inv, lut, e_desired, sample, options)
+            state, record = loop_step(state, ctl, inv, lut, e_desired, sample, cfg)
         except DivergenceError as exc:
             raise DivergenceError(exc.net, state.k) from None
         records.append(record)
     return records
 
 
-def run_simulation(cfg):
+def run_simulation(cfg: SimConfig):
     """Build everything from a SimConfig and run it.
 
     Returns (records, (controller, inverse_model)) with the nets in their
@@ -272,12 +263,7 @@ def run_simulation(cfg):
     daylight = config_mod.build_daylight(cfg)
     ctl = init_network(CONTROLLER_INPUTS, cfg.gamma_controller, cfg.seed_controller, cfg.use_bias)
     inv = init_network(INVERSE_INPUTS, cfg.gamma_inverse, cfg.seed_inverse, cfg.use_bias)
-    options = LoopOptions(
-        error_scaling=cfg.error_scaling,
-        inverse_target_lag=cfg.inverse_target_lag,
-        plant_delay=cfg.plant_delay,
-    )
-    records = run_loop(lut, daylight, ctl, inv, cfg.e_desired, options)
+    records = run_loop(lut, daylight, ctl, inv, cfg.e_desired, cfg)
     return records, (ctl, inv)
 
 

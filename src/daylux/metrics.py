@@ -29,6 +29,7 @@ class BandReport:
     eps_max: int
     frac_in_wide: float
     frac_in_narrow: float
+    frac_in_shell: float  # in the wide band but outside the narrow one
     frac_meas_in_perception: float
     rms_eps: float
     valid: bool
@@ -61,9 +62,10 @@ def band_report(records, warmup_steps: int) -> BandReport:
     steady = [r for r in records if r.k >= warmup_steps]
     n = len(steady)
     if n == 0:
-        return BandReport(warmup_steps, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, valid=False)
+        return BandReport(warmup_steps, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
     n_wide = 0
     n_narrow = 0
+    n_shell = 0
     n_percep = 0
     sq = 0.0
     eps_min = steady[0].eps
@@ -74,10 +76,12 @@ def band_report(records, warmup_steps: int) -> BandReport:
             eps_min = e
         if e > eps_max:
             eps_max = e
-        if WIDE_BAND[0] <= e <= WIDE_BAND[1]:
+        if WIDE_BAND[0] <= e <= WIDE_BAND[1]:  # the narrow band lies inside it
             n_wide += 1
-        if NARROW_BAND[0] <= e <= NARROW_BAND[1]:
-            n_narrow += 1
+            if NARROW_BAND[0] <= e <= NARROW_BAND[1]:
+                n_narrow += 1
+            else:
+                n_shell += 1
         if PERCEPTION_BAND[0] <= r.e_measured <= PERCEPTION_BAND[1]:
             n_percep += 1
         sq += e * e
@@ -88,6 +92,7 @@ def band_report(records, warmup_steps: int) -> BandReport:
         eps_max=eps_max,
         frac_in_wide=n_wide / n,
         frac_in_narrow=n_narrow / n,
+        frac_in_shell=n_shell / n,
         frac_meas_in_perception=n_percep / n,
         rms_eps=math.sqrt(sq / n),
         valid=True,
@@ -100,15 +105,4 @@ def extreme_rarity(records, warmup_steps: int) -> float:
     Measures how often the error visits the outer shell of the wide band;
     small values mean the extremes of the reported interval are met rarely.
     """
-    if warmup_steps < 0:
-        raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
-    steady = [r for r in records if r.k >= warmup_steps]
-    if not steady:
-        return 0.0
-    n_shell = sum(
-        1
-        for r in steady
-        if WIDE_BAND[0] <= r.eps <= WIDE_BAND[1]
-        and not (NARROW_BAND[0] <= r.eps <= NARROW_BAND[1])
-    )
-    return n_shell / len(steady)
+    return band_report(records, warmup_steps).frac_in_shell

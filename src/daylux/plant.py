@@ -19,7 +19,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .rng import SplitMix64
-from .signals import D8BV_MAX, check_d8bv, clamp8_sum, round_half_away
+from .signals import D8BV_MAX, check_d8bv, round_half_away
 
 DEFAULT_LUT_E_MAX = 180
 DEFAULT_LUT_SHAPE = 1.3
@@ -119,9 +119,10 @@ def synth_default_lut(
     if not 120 <= e_max <= 255:
         raise ValueError(f"e_max must be in [120, 255], got {e_max}")
     if not gamma_shape > 0:
-        raise ValueError(f"gamma_shape must be positive, got {gamma_shape}")
-    if knot_count < 8:
-        raise ValueError(f"knot_count must be >= 8, got {knot_count}")
+        raise ValueError(f"shape must be positive, got {gamma_shape}")
+    # Over 256 knots cannot be strictly increasing on the 8-bit u grid.
+    if not 8 <= knot_count <= D8BV_MAX + 1:
+        raise ValueError(f"knots must be in [8, 256], got {knot_count}")
     knots = []
     for i in range(knot_count):
         u = round_half_away(i * D8BV_MAX / (knot_count - 1))
@@ -232,11 +233,6 @@ def _gen_fast_changes(
     return DaylightTrajectory(tuple(samples), f"fast(seed={seed})")
 
 
-def plant_measure(lut: ProcessLut, u_prev: int, daylight_k: int) -> int:
-    """Sensor reading: electric light for the pending command plus daylight."""
-    return clamp8_sum(lut_eval(lut, u_prev), daylight_k)
-
-
 def load_lut_csv(path) -> ProcessLut:
     """Read a `u,e` table; validation failures name the 1-based line."""
     rows = _read_csv_rows(path, header=("u", "e"))
@@ -298,18 +294,21 @@ def _read_csv_rows(path, header: tuple[str, ...]):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header_seen = False
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells or (cells[0].lstrip().startswith("#")):
-                continue
-            cells = [c.strip() for c in cells]
-            if not header_seen:
-                if tuple(c.lower() for c in cells) != header:
-                    raise TableFormatError(
-                        f"{path}: expected header {','.join(header)!r} at line {lineno}"
-                    )
-                header_seen = True
-                continue
-            out.append((lineno, cells))
+        try:
+            for lineno, cells in enumerate(reader, start=1):
+                if not cells or (cells[0].lstrip().startswith("#")):
+                    continue
+                cells = [c.strip() for c in cells]
+                if not header_seen:
+                    if tuple(c.lower() for c in cells) != header:
+                        raise TableFormatError(
+                            f"{path}: expected header {','.join(header)!r} at line {lineno}"
+                        )
+                    header_seen = True
+                    continue
+                out.append((lineno, cells))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise TableFormatError(f"{path}: {exc} at line {reader.line_num}") from None
         if not header_seen:
             raise TableFormatError(f"{path}: empty file, expected header {','.join(header)!r}")
     return out

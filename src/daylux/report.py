@@ -15,7 +15,6 @@ from .metrics import (
     WIDE_BAND,
     BandReport,
     band_report,
-    extreme_rarity,
 )
 from .svgplot import polyline_chart
 
@@ -105,7 +104,7 @@ def write_panel_svgs(records, out_dir) -> list[str]:
 def summary_text(records, report: BandReport) -> str:
     """Human-readable digest followed by the machine-readable block."""
     total = len(records)
-    shell = extreme_rarity(records, report.warmup_steps)
+    shell = report.frac_in_shell
     lines = [
         f"steps: {total} total, {report.n_steady} steady (warmup {report.warmup_steps})",
     ]

@@ -63,9 +63,11 @@ def unit_to_d8bv(u: float) -> int:
     return round_half_away((u + 1.0) * 127.5)
 
 
-def scale_error(eps: int, scaling: str = "independent") -> float:
-    """Scale a regulation error from [-255, 255] to the unit interval."""
-    _check_scaling(scaling)
+def scale_error(eps: int) -> float:
+    """Scale a regulation error from [-255, 255] to the unit interval.
+
+    Both error scalings divide eps by 255, so this takes no scaling.
+    """
     if isinstance(eps, bool) or not isinstance(eps, int):
         raise ValueError(f"eps must be an int, got {type(eps).__name__}")
     if not -EPS_SPAN <= eps <= EPS_SPAN:
@@ -80,7 +82,8 @@ def scale_delta_error(deps: int, scaling: str = "independent") -> float:
     channel's divisor, so a one-step swing across the whole range maps to the
     same magnitude as a full-range error.
     """
-    _check_scaling(scaling)
+    if scaling not in ERROR_SCALINGS:
+        raise ValueError(f"error scaling must be one of {ERROR_SCALINGS}, got {scaling!r}")
     if isinstance(deps, bool) or not isinstance(deps, int):
         raise ValueError(f"deps must be an int, got {type(deps).__name__}")
     if not -DEPS_SPAN <= deps <= DEPS_SPAN:
@@ -96,10 +99,3 @@ def clamp8_sum(a: int, b: int) -> int:
     check_d8bv(a, "a")
     check_d8bv(b, "b")
     return min(a + b, D8BV_MAX)
-
-
-def _check_scaling(scaling: str) -> None:
-    if scaling not in ERROR_SCALINGS:
-        raise ValueError(
-            f"error scaling must be one of {ERROR_SCALINGS}, got {scaling!r}"
-        )

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import re
+from dataclasses import fields
 
 import pytest
 
 import daylux.cli as cli_mod
-from daylux.cli import main
+from daylux.cli import build_parser, main, parse_config
+from daylux.config import SimConfig
 from daylux.plant import load_lut_csv
 from daylux.report import TRAJECTORY_HEADER
 
@@ -173,3 +175,61 @@ def test_error_scaling_flag(tmp_path):
     code, _ = run_simulate(tmp_path, "--error-scaling", "shared255")
     assert code == 0
     assert main(["simulate", "--error-scaling", "percent"]) == 1
+
+
+def test_every_config_field_has_a_simulate_flag(tmp_path):
+    day = tmp_path / "day.csv"
+    day.write_text("k,e\n0,30\n")
+    ns = build_parser().parse_args([
+        "simulate", "--steps", "7", "--e-desired", "90",
+        "--gamma-controller", "0.2", "--gamma-inverse", "0.3",
+        "--seed-controller", "3", "--seed-inverse", "4", "--seed-daylight", "5",
+        "--lut", "synthetic:e_max=200", "--daylight", f"csv:{day}",
+        "--warmup", "10", "--error-scaling", "shared255",
+        "--inverse-target-lag", "1", "--plant-delay", "0", "--no-bias",
+        "--out-dir", str(tmp_path / "o"),
+    ])
+    cfg = parse_config(ns)
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default] == []
+    assert len(fields(cfg)) == 15
+
+
+def test_omitted_flags_keep_every_config_file_value(tmp_path):
+    want = SimConfig(
+        steps=7, e_desired=90, gamma_controller=0.2, gamma_inverse=0.3,
+        seed_controller=3, seed_inverse=4, seed_daylight=5,
+        lut_source="synthetic:e_max=200", daylight_source="constant:9", warmup=10,
+        error_scaling="shared255", inverse_target_lag=1, plant_delay=0, use_bias=False,
+        out_dir=str(tmp_path / "o"),
+    )
+    assert [f.name for f in fields(want) if getattr(want, f.name) == f.default] == []
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{f.name} = {getattr(want, f.name)}\n" for f in fields(want)))
+    assert parse_config(build_parser().parse_args(["simulate", "--config", str(cfg_file)])) == want
+
+
+@pytest.mark.parametrize("header, argv", [
+    ("k,e", "simulate --daylight csv:{big} --out-dir {out}"),
+    ("u,e", "simulate --lut csv:{big} --out-dir {out}"),
+    ("u,e", "lut inspect {big}"),
+])
+def test_oversized_csv_field_exits_1_with_one_error_line(tmp_path, capsys, header, argv):
+    big = tmp_path / "big.csv"
+    big.write_text(f"{header}\n0," + "1" * 200_000 + "\n")  # over csv.field_size_limit()
+    assert main([a.format(big=big, out=tmp_path / "o") for a in argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {big}: ") and err.endswith(" at line 2\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, internal", [
+    ("shape", "-1", "gamma_shape"),
+    ("knots", "4", "knot_count"),
+])
+def test_lut_parameter_errors_name_the_typed_key(tmp_path, capsys, key, value, internal):
+    assert main(["lut", "generate", "--out", str(tmp_path / "t.csv"), f"--{key}", value]) == 1
+    assert main(["simulate", "--steps", "5", "--lut", f"synthetic:{key}={value}",
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"error: {key} must be") == 2
+    assert internal not in err

@@ -38,6 +38,7 @@ def test_validate_rejects_out_of_contract_fields():
         ("error_scaling", "percent"),
         ("inverse_target_lag", 2),
         ("plant_delay", 3),
+        ("plant_delay", -1),
         ("daylight_source", "sinus:1"),
         ("lut_source", "poly:2"),
     ):

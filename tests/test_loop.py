@@ -13,7 +13,6 @@ from daylux.loop import (
     CONTROLLER_INPUTS,
     INVERSE_INPUTS,
     DivergenceError,
-    LoopOptions,
     LoopState,
     controller_action,
     inverse_action,
@@ -173,13 +172,6 @@ def test_zero_plant_delay_reacts_within_the_step():
     lut = synth_default_lut()
     for r in recs:
         assert r.e_electric == lut_eval(lut, r.u)
-
-
-def test_loop_options_validation():
-    with pytest.raises(ValueError):
-        LoopOptions(inverse_target_lag=2)
-    with pytest.raises(ValueError):
-        LoopOptions(plant_delay=-1)
 
 
 def test_controller_action_rejects_unknown_scaling():

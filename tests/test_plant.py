@@ -13,7 +13,6 @@ from daylux.plant import (
     load_lut_csv,
     lut_eval,
     lut_inverse,
-    plant_measure,
     save_daylight_csv,
     save_lut_csv,
     synth_default_lut,
@@ -91,13 +90,9 @@ def test_synth_lut_validation():
         synth_default_lut(gamma_shape=0.0)
     with pytest.raises(ValueError):
         synth_default_lut(knot_count=4)
-
-
-def test_plant_measure_adds_and_saturates():
-    lut = synth_default_lut()
-    assert plant_measure(lut, 162, 30) == 130
-    assert plant_measure(lut, 255, 255) == 255
-    assert plant_measure(lut, 0, 0) == 0
+    assert synth_default_lut(knot_count=256).u_values() == list(range(256))
+    with pytest.raises(ValueError, match=r"knots must be in \[8, 256\], got 10000000000"):
+        synth_default_lut(knot_count=10**10)  # rejected before any knot is built
 
 
 def test_gen_constant():
@@ -213,6 +208,19 @@ def test_daylight_csv_requires_consecutive_k(tmp_path):
     with pytest.raises(TableFormatError) as err:
         load_daylight_csv(path)
     assert "expected 1 at line 3" in str(err.value)
+
+
+def test_oversized_csv_field_is_a_table_format_error(tmp_path):
+    # csv.reader refuses fields over csv.field_size_limit() (131072 chars)
+    # with csv.Error, which is not a ValueError.
+    big = "1" * 200_000
+    for loader, header in ((load_daylight_csv, "k,e"), (load_lut_csv, "u,e")):
+        p = tmp_path / f"{header[0]}.csv"
+        p.write_text(f"{header}\n0,{big}\n")
+        with pytest.raises(TableFormatError) as err:
+            loader(p)
+        assert str(err.value).startswith(f"{p}: ")
+        assert str(err.value).endswith(" at line 2")
 
 
 def test_daylight_csv_header_only_is_empty(tmp_path):
