@@ -37,7 +37,6 @@ from .plant import (
 )
 from .report import write_run_artifacts
 from .rng import SplitMix64
-from .signals import ERROR_SCALINGS
 from .tinynet import backprop_gradients, init_network, numeric_gradient
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -58,13 +57,13 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run the closed-loop simulation")
     sim.add_argument("--config", help="key = value config file; flags take precedence")
-    sim.add_argument("--steps", type=int, help="run length for generated daylight (default 2000)")
-    sim.add_argument("--e-desired", type=int, help="setpoint illuminance, 0..255 (default 100)")
-    sim.add_argument("--gamma-controller", type=float, help="controller learning rate (default 0.15)")
-    sim.add_argument("--gamma-inverse", type=float, help="inverse-model learning rate (default 0.15)")
-    sim.add_argument("--seed-controller", type=int, help="controller weight-init seed")
-    sim.add_argument("--seed-inverse", type=int, help="inverse-model weight-init seed")
-    sim.add_argument("--seed-daylight", type=int, help="daylight trajectory seed")
+    sim.add_argument("--steps", help="run length for generated daylight (default 2000)")
+    sim.add_argument("--e-desired", help="setpoint illuminance, 0..255 (default 100)")
+    sim.add_argument("--gamma-controller", help="controller learning rate (default 0.15)")
+    sim.add_argument("--gamma-inverse", help="inverse-model learning rate (default 0.15)")
+    sim.add_argument("--seed-controller", help="controller weight-init seed")
+    sim.add_argument("--seed-inverse", help="inverse-model weight-init seed")
+    sim.add_argument("--seed-daylight", help="daylight trajectory seed")
     sim.add_argument(
         "--lut",
         dest="lut_source",
@@ -77,25 +76,19 @@ def build_parser() -> _Parser:
         metavar="DAYLIGHT",
         help="disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH",
     )
-    sim.add_argument("--warmup", type=int, help="steps excluded from band metrics (default 200)")
-    sim.add_argument("--error-scaling", choices=ERROR_SCALINGS, help="eps/deps normalization")
+    sim.add_argument("--warmup", help="steps excluded from band metrics (default 200)")
+    sim.add_argument("--error-scaling", help="eps/deps normalization: independent or shared255")
     sim.add_argument(
-        "--inverse-target-lag",
-        type=int,
-        choices=(0, 1),
-        help="pair the inverse target with U(k) (0) or U(k-1) (1)",
+        "--inverse-target-lag", help="pair the inverse target with U(k) (0) or U(k-1) (1)"
     )
     sim.add_argument(
-        "--plant-delay",
-        type=int,
-        choices=(0, 1),
-        help="steps between command and measured response (default 1)",
+        "--plant-delay", help="steps between command and measured response, 0 or 1 (default 1)"
     )
     sim.add_argument(
         "--no-bias",
         dest="use_bias",
-        action="store_false",
-        default=None,
+        action="store_const",
+        const="false",
         help="train both nets without bias terms",
     )
     sim.add_argument("--out-dir", help="artifact directory (default out)")
@@ -124,11 +117,10 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     if ns.config:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
     # Every SimConfig field has a flag whose dest is the field name; an
-    # omitted flag leaves None in the namespace.
-    for f in fields(SimConfig):
-        value = getattr(ns, f.name)
-        if value is not None:
-            setattr(cfg, f.name, value)
+    # omitted flag leaves None in the namespace.  Given flags are strings and
+    # go through the same converter as config-file keys.
+    flags = {f.name: v for f in fields(SimConfig) if (v := getattr(ns, f.name)) is not None}
+    apply_settings(cfg, flags, "command line")
     cfg.validate()
     return cfg
 

@@ -16,6 +16,7 @@ trajectory brings its own length and overrides `steps` for the run.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass, fields
@@ -91,8 +92,8 @@ def parse_lut_spec(spec: str):
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     if kind == "synthetic":
-        params = _parse_kv(rest, {"e_max": int, "shape": float, "knots": int})
-        return "synthetic", params
+        schema = {"e_max": "int", "shape": "float", "knots": "int"}
+        return "synthetic", _parse_kv(rest, kind, schema)
     if kind == "csv":
         if not rest:
             raise ValueError("csv source needs a path, e.g. csv:table.csv")
@@ -100,33 +101,29 @@ def parse_lut_spec(spec: str):
     raise ValueError(f"unknown LUT source {kind!r} (expected synthetic or csv)")
 
 
+# Daylight kinds whose integer values are given by position, in this order.
+_POSITIONAL_VALUES = {
+    "constant": ("level",),
+    "step": ("level0", "level1", "k_switch"),
+    "ramp": ("level0", "level1"),
+}
+
+
 def parse_daylight_spec(spec: str):
     """Split a daylight source spec into (kind, params)."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind == "constant":
-        if not rest:
-            raise ValueError("constant needs a level, e.g. constant:30")
-        return "constant", {"level": _to_int(rest, "level")}
-    if kind == "step":
-        parts = [p.strip() for p in rest.split(",")] if rest else []
-        if len(parts) != 3:
-            raise ValueError("step needs three values, e.g. step:0,100,50")
-        return "step", {
-            "level0": _to_int(parts[0], "level0"),
-            "level1": _to_int(parts[1], "level1"),
-            "k_switch": _to_int(parts[2], "k_switch"),
-        }
-    if kind == "ramp":
-        parts = [p.strip() for p in rest.split(",")] if rest else []
-        if len(parts) != 2:
-            raise ValueError("ramp needs two values, e.g. ramp:0,100")
-        return "ramp", {"level0": _to_int(parts[0], "level0"), "level1": _to_int(parts[1], "level1")}
+    if kind in _POSITIONAL_VALUES:
+        names = _POSITIONAL_VALUES[kind]
+        parts = rest.split(",") if rest else []
+        if len(parts) != len(names):
+            plural = "s" if len(names) > 1 else ""
+            raise ValueError(f"{kind} needs {len(names)} value{plural}: {kind}:{','.join(names)}")
+        schema = dict.fromkeys(names, "int")
+        return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(names, parts)}
     if kind == "fast":
-        params = _parse_kv(
-            rest, {"base": int, "amplitude": int, "step_prob": float, "max_jump": int}
-        )
-        return "fast", params
+        schema = {"base": "int", "amplitude": "int", "step_prob": "float", "max_jump": "int"}
+        return "fast", _parse_kv(rest, kind, schema)
     if kind == "csv":
         if not rest:
             raise ValueError("csv source needs a path, e.g. csv:daylight.csv")
@@ -157,19 +154,19 @@ def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
 def load_config_file(path) -> dict[str, str]:
     """Read `key = value` lines; returns raw strings keyed by name."""
     settings: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: expected key = value at line {lineno}: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}: empty key at line {lineno}")
-            settings[key] = value
+    lines = io.StringIO(plant.read_text(path, ConfigError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: expected key = value at line {lineno}: {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}: empty key at line {lineno}")
+        settings[key] = value
     return settings
 
 
@@ -177,32 +174,38 @@ _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def convert(key: str, value: str, schema: dict[str, str], origin: str):
+    """Turn one typed-in string into the int, float, bool or str `schema` names.
+
+    Simulate flags, config-file keys and source-spec parameters all pass
+    through here, so a bad value reads the same wherever it was typed.
+    str values are returned unchanged.
+    """
+    if key not in schema:
+        raise ConfigError(f"{origin}: unknown key {key!r} (expected one of {sorted(schema)})")
+    type_name = schema[key]
+    try:
+        if type_name == "bool":
+            return _BOOL_WORDS[value.strip().lower()]
+        if type_name == "int":
+            return int(value)
+        if type_name == "float":
+            return float(value)
+        return value
+    except (KeyError, ValueError):
+        raise ConfigError(
+            f"{origin}: bad value for {key!r}: {value!r} (expected {type_name})"
+        ) from None
+
+
 def apply_settings(cfg: SimConfig, settings: dict[str, str], origin: str) -> None:
-    """Apply raw string settings onto cfg, with per-key type checking."""
+    """Apply raw string settings onto cfg, converted by the field types."""
     for key, value in settings.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{origin}: unknown config key {key!r}")
-        ftype = _FIELD_TYPES[key]
-        try:
-            if ftype == "bool":
-                parsed = _BOOL_WORDS[value.strip().lower()]
-            elif ftype == "int":
-                parsed = int(value)
-            elif ftype == "float":
-                parsed = float(value)
-            else:
-                parsed = value
-        except (KeyError, ValueError):
-            raise ConfigError(
-                f"{origin}: bad value for {key!r}: {value!r} (expected {ftype})"
-            ) from None
-        setattr(cfg, key, parsed)
+        setattr(cfg, key, convert(key, value, _FIELD_TYPES, origin))
 
 
-def _parse_kv(rest: str, schema: dict[str, type]) -> dict:
+def _parse_kv(rest: str, origin: str, schema: dict[str, str]) -> dict:
     params: dict = {}
-    if not rest:
-        return params
     for item in rest.split(","):
         item = item.strip()
         if not item:
@@ -211,17 +214,5 @@ def _parse_kv(rest: str, schema: dict[str, type]) -> dict:
             raise ValueError(f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in schema:
-            raise ValueError(f"unknown parameter {key!r} (expected one of {sorted(schema)})")
-        try:
-            params[key] = schema[key](value.strip())
-        except ValueError:
-            raise ValueError(f"bad value for {key!r}: {value!r}") from None
+        params[key] = convert(key, value.strip(), schema, origin)
     return params
-
-
-def _to_int(text: str, name: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 from dataclasses import dataclass, field
 
 from .rng import SplitMix64
@@ -29,8 +30,6 @@ FAST_BASE = 40
 FAST_AMPLITUDE = 60
 FAST_STEP_PROB = 0.05
 FAST_MAX_JUMP = 50
-
-DAYLIGHT_KINDS = ("constant", "step", "ramp", "fast", "csv")
 
 
 class TableFormatError(ValueError):
@@ -182,7 +181,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
         return DaylightTrajectory(samples, "ramp")
     if kind == "fast":
         return _gen_fast_changes(length, seed, **params)
-    raise ValueError(f"unknown daylight kind {kind!r} (expected one of {DAYLIGHT_KINDS})")
+    raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")
 
 
 def _gen_fast_changes(
@@ -288,29 +287,42 @@ def save_daylight_csv(traj: DaylightTrajectory, path) -> None:
             fh.write(f"{k},{e}\n")
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """The whole file decoded as UTF-8; a bad byte raises `error` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as the parsers do: \r and \r\n end a line too.
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        line = before.count("\n") + 1
+        raise error(f"{path}: invalid UTF-8 byte 0x{data[exc.start]:02x} at line {line}") from None
+
+
 def _read_csv_rows(path, header: tuple[str, ...]):
-    """Yield (lineno, cells) for data rows; enforce the exact header."""
+    """Return (lineno, cells) for data rows; enforce the exact header."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header_seen = False
-        try:
-            for lineno, cells in enumerate(reader, start=1):
-                if not cells or (cells[0].lstrip().startswith("#")):
-                    continue
-                cells = [c.strip() for c in cells]
-                if not header_seen:
-                    if tuple(c.lower() for c in cells) != header:
-                        raise TableFormatError(
-                            f"{path}: expected header {','.join(header)!r} at line {lineno}"
-                        )
-                    header_seen = True
-                    continue
-                out.append((lineno, cells))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise TableFormatError(f"{path}: {exc} at line {reader.line_num}") from None
-        if not header_seen:
-            raise TableFormatError(f"{path}: empty file, expected header {','.join(header)!r}")
+    reader = csv.reader(io.StringIO(read_text(path, TableFormatError), newline=""))
+    header_seen = False
+    try:
+        for cells in reader:
+            lineno = reader.line_num  # physical, also after a multi-line quoted field
+            if not cells or (cells[0].lstrip().startswith("#")):
+                continue
+            cells = [c.strip() for c in cells]
+            if not header_seen:
+                if tuple(c.lower() for c in cells) != header:
+                    raise TableFormatError(
+                        f"{path}: expected header {','.join(header)!r} at line {lineno}"
+                    )
+                header_seen = True
+                continue
+            out.append((lineno, cells))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise TableFormatError(f"{path}: {exc} at line {reader.line_num}") from None
+    if not header_seen:
+        raise TableFormatError(f"{path}: empty file, expected header {','.join(header)!r}")
     return out
 
 

@@ -70,7 +70,7 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("stepz = 70\n")
     assert main(["simulate", "--config", str(cfg)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    assert f"error: {cfg}: unknown key 'stepz' (expected one of [" in capsys.readouterr().err
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -89,7 +89,11 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert "gamma_inverse" in capsys.readouterr().err
     assert main(["simulate", "--daylight", "sinus:1"]) == 1
     assert main(["simulate", "--lut", "csv:/does/not/exist.csv"]) == 1
-    assert main(["simulate", "--steps", "abc"]) == 1  # argparse type error
+    assert main(["simulate", "--steps", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "error: command line: bad value for 'steps': 'abc' (expected int)" in err
+    assert main(["simulate", "--inverse-target-lag", "2"]) == 1
+    assert "error: inverse_target_lag must be 0 or 1, got 2" in capsys.readouterr().err
     assert main(["bogus"]) == 1
 
 
@@ -233,3 +237,44 @@ def test_lut_parameter_errors_name_the_typed_key(tmp_path, capsys, key, value, i
     err = capsys.readouterr().err
     assert err.count(f"error: {key} must be") == 2
     assert internal not in err
+
+
+# A bad value for every field that takes one on the command line, as typed
+# after its flag and as a config-file key.  out_dir is absent: every string
+# is a valid directory name until the run writes to it.
+BAD_VALUES = [(f.name, "x") for f in fields(SimConfig) if f.type in ("int", "float")] + [
+    ("error_scaling", "percent"),
+    ("lut_source", "poly:2"),
+    ("daylight_source", "sinus:1"),
+]
+FLAGS = {"lut_source": "--lut", "daylight_source": "--daylight"}
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_flags_and_config_keys_reject_a_value_alike(tmp_path, capsys, key, value):
+    flag = FLAGS.get(key, "--" + key.replace("_", "-"))
+    assert main(["simulate", flag, value]) == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    from_file = capsys.readouterr().err
+    for err in (from_flag, from_file):
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert from_flag.replace("command line: ", "") == from_file.replace(f"{cfg}: ", "")
+    assert key.removesuffix("_source") in from_flag
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run.cfg", "simulate --config {bad}"),
+    ("day.csv", "simulate --daylight csv:{bad} --out-dir {out}"),
+    ("lut.csv", "simulate --lut csv:{bad} --out-dir {out}"),
+    ("lut.csv", "lut inspect {bad}"),
+])
+def test_non_utf8_input_exits_1_with_one_error_line(tmp_path, capsys, name, argv):
+    bad = tmp_path / name
+    head = {"run.cfg": "steps = 5", "day.csv": "k,e", "lut.csv": "u,e"}[name]
+    bad.write_bytes(head.encode() + b"\n# \xff\n")
+    assert main([a.format(bad=bad, out=tmp_path / "o") for a in argv.split()]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: invalid UTF-8 byte 0xff at line 2\n"

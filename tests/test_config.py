@@ -83,6 +83,17 @@ def test_parse_daylight_spec():
     for bad in ("constant", "step:1,2", "ramp:5", "wave:3", "csv:", "fast:speed=2"):
         with pytest.raises(ValueError):
             parse_daylight_spec(bad)
+    for bad, message in (
+        ("constant:1,2", "constant needs 1 value: constant:level"),
+        ("step:1,2,3,4", "step needs 3 values: step:level0,level1,k_switch"),
+        ("ramp:0,x", "ramp: bad value for 'level1': 'x' (expected int)"),
+        ("fast:base=4.5", "fast: bad value for 'base': '4.5' (expected int)"),
+        ("fast:base=1,gust=2", "fast: unknown key 'gust' (expected one of "
+                               "['amplitude', 'base', 'max_jump', 'step_prob'])"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_daylight_spec(bad)
+        assert str(err.value) == message
 
 
 def test_build_lut_passes_parameters():
@@ -133,6 +144,14 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
         load_config_file(path)
 
 
+def test_non_utf8_config_file_names_path_and_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"# caf\xc3\xa9\nsteps = 5\nwarmup = \xff\n")
+    with pytest.raises(ConfigError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}: invalid UTF-8 byte 0xff at line 3"
+
+
 def test_apply_settings_types_and_errors():
     cfg = SimConfig()
     apply_settings(
@@ -147,8 +166,13 @@ def test_apply_settings_types_and_errors():
 
     with pytest.raises(ConfigError) as err:
         apply_settings(cfg, {"stepz": "1"}, origin="test")
-    assert "unknown config key" in str(err.value)
-    with pytest.raises(ConfigError):
+    assert str(err.value).startswith("test: unknown key 'stepz' (expected one of [")
+    assert "'steps'" in str(err.value)
+    with pytest.raises(ConfigError) as err:
         apply_settings(cfg, {"steps": "many"}, origin="test")
-    with pytest.raises(ConfigError):
+    assert str(err.value) == "test: bad value for 'steps': 'many' (expected int)"
+    with pytest.raises(ConfigError) as err:
         apply_settings(cfg, {"use_bias": "maybe"}, origin="test")
+    assert str(err.value) == "test: bad value for 'use_bias': 'maybe' (expected bool)"
+    apply_settings(cfg, {"out_dir": " run 8 "}, origin="test")
+    assert cfg.out_dir == " run 8 "  # str values pass through unchanged

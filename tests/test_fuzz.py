@@ -122,9 +122,27 @@ def test_mutated_inputs_raise_only_documented_errors(tmp_path, monkeypatch, targ
         try:
             parse(data)
             accepted += 1
+        except UnicodeDecodeError as exc:  # a ValueError, but names no file or line
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc} on input {data!r}")
         except ALLOWED:
             rejected += 1
         except Exception as exc:
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc} on input {data!r}")
     # Both outcomes occur, so the mutations exercise accept and reject paths.
     assert accepted > 0 and rejected > 0
+
+
+@pytest.mark.parametrize("target, error", [
+    ("config_file", ConfigError),
+    ("lut_csv", TableFormatError),
+    ("daylight_csv", TableFormatError),
+])
+def test_non_utf8_files_raise_the_documented_error(tmp_path, monkeypatch, target, error):
+    monkeypatch.chdir(tmp_path)
+    parse, corpus = TARGETS[target]
+    for at in (0, len(corpus[0]) // 2, len(corpus[0])):
+        data = corpus[0][:at] + b"\xff" + corpus[0][at:]
+        with pytest.raises(error) as err:
+            parse(data)
+        assert not isinstance(err.value, UnicodeDecodeError)
+        assert "invalid UTF-8 byte 0xff at line " in str(err.value)

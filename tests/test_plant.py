@@ -144,6 +144,10 @@ def test_gen_daylight_validation():
         gen_daylight("constant", 0, level=30)
     with pytest.raises(ValueError):
         gen_daylight("sinus", 10)
+    with pytest.raises(ValueError) as err:
+        gen_daylight("csv", 10)  # only load_daylight_csv builds csv daylight
+    assert "'csv'" in str(err.value)
+    assert "csv" not in str(err.value).split("expected", 1)[1]
     with pytest.raises(ValueError):
         gen_daylight("constant", 10, level=300)
     with pytest.raises(ValueError):
@@ -221,6 +225,23 @@ def test_oversized_csv_field_is_a_table_format_error(tmp_path):
             loader(p)
         assert str(err.value).startswith(f"{p}: ")
         assert str(err.value).endswith(" at line 2")
+
+
+def test_csv_line_numbers_count_physical_lines(tmp_path):
+    p = tmp_path / "day.csv"
+    p.write_text('k,e\n0,"30\n"\n1,x\n')  # record 2 spans lines 2-3
+    with pytest.raises(TableFormatError) as err:
+        load_daylight_csv(p)
+    assert str(err.value) == f"{p}: column 'e' must be an integer at line 4, got 'x'"
+
+
+def test_non_utf8_csv_is_a_table_format_error(tmp_path):
+    for loader, header in ((load_daylight_csv, "k,e"), (load_lut_csv, "u,e")):
+        p = tmp_path / f"{header[0]}.csv"
+        p.write_bytes(f"{header}\r\n0,0\r\n1,\xff\n".encode("latin-1"))
+        with pytest.raises(TableFormatError) as err:
+            loader(p)
+        assert str(err.value) == f"{p}: invalid UTF-8 byte 0xff at line 3"
 
 
 def test_daylight_csv_header_only_is_empty(tmp_path):
