@@ -18,10 +18,13 @@ import sys
 from dataclasses import fields
 
 from .config import (
+    SYNTHETIC_LUT_SCHEMA,
     ConfigError,
     SimConfig,
     apply_settings,
+    convert,
     load_config_file,
+    synthetic_lut,
 )
 from .loop import CONTROLLER_INPUTS, INVERSE_INPUTS, run_simulation
 from .plant import (
@@ -37,9 +40,11 @@ from .plant import (
 )
 from .report import write_run_artifacts
 from .rng import SplitMix64
+from .signals import check_d8bv
 from .tinynet import backprop_gradients, init_network, numeric_gradient
 
 GRADCHECK_TOLERANCE = 1e-5
+GRADCHECK_SCHEMA = {"seed": "int", "trials": "int"}
 
 
 class UsageError(ValueError):
@@ -94,19 +99,19 @@ def build_parser() -> _Parser:
     sim.add_argument("--out-dir", help="artifact directory (default out)")
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    grad.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    grad.add_argument("--trials", type=int, default=100, help="number of random nets (default 100)")
+    grad.add_argument("--seed", default="0", help="sampling seed (default 0)")
+    grad.add_argument("--trials", default="100", help="number of random nets (default 100)")
 
     lut = sub.add_parser("lut", help="generate or inspect plant tables")
     lut_sub = lut.add_subparsers(dest="lut_command", required=True)
     gen = lut_sub.add_parser("generate", help="write a synthetic table CSV")
     gen.add_argument("--out", default="lut.csv", help="output path (default lut.csv)")
-    gen.add_argument("--e-max", type=int, default=DEFAULT_LUT_E_MAX)
-    gen.add_argument("--shape", type=float, default=DEFAULT_LUT_SHAPE)
-    gen.add_argument("--knots", type=int, default=DEFAULT_LUT_KNOTS)
+    gen.add_argument("--e-max", help=f"illuminance at u=255 (default {DEFAULT_LUT_E_MAX})")
+    gen.add_argument("--shape", help=f"power-law exponent (default {DEFAULT_LUT_SHAPE})")
+    gen.add_argument("--knots", help=f"number of knots (default {DEFAULT_LUT_KNOTS})")
     ins = lut_sub.add_parser("inspect", help="print knots, monotonicity, inverse lookups")
     ins.add_argument("path", nargs="?", help="table CSV; omitted = default synthetic table")
-    ins.add_argument("--query-e", type=int, help="print the brute-force inverse u* for this e")
+    ins.add_argument("--query-e", help="print the brute-force inverse u* for this e")
 
     return parser
 
@@ -123,6 +128,19 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     apply_settings(cfg, flags, "command line")
     cfg.validate()
     return cfg
+
+
+def typed_flags(ns: argparse.Namespace, schema: dict[str, str]) -> dict:
+    """The given flags named in schema, converted like config-file keys.
+
+    Flags are declared without an argparse ``type``, so a bad value gets the
+    same message here as in a config file or a source spec.
+    """
+    return {
+        key: convert(key, value, schema, "command line")
+        for key in schema
+        if (value := getattr(ns, key)) is not None
+    }
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
@@ -173,10 +191,14 @@ def gradcheck_max_rel_error(seed: int, trials: int, h: float = 1e-5) -> float:
 
 def cmd_lut(ns: argparse.Namespace) -> int:
     if ns.lut_command == "generate":
-        table = synth_default_lut(ns.e_max, ns.shape, ns.knots)
+        table = synthetic_lut(typed_flags(ns, SYNTHETIC_LUT_SCHEMA))
         save_lut_csv(table, ns.out)
         print(f"wrote {ns.out} ({len(table.knots)} knots)")
         return 0
+    # Everything that can fail is checked before the first line is printed.
+    query_e = typed_flags(ns, {"query_e": "int"}).get("query_e")
+    if query_e is not None:
+        check_d8bv(query_e, "query_e")
     table = load_lut_csv(ns.path) if ns.path else synth_default_lut()
     source = ns.path if ns.path else "synthetic defaults"
     print(f"table: {source}")
@@ -188,9 +210,9 @@ def cmd_lut(ns: argparse.Namespace) -> int:
     es = table.e_values()
     monotone = all(a <= b for a, b in zip(es, es[1:]))
     print(f"monotone: {'yes' if monotone else 'no'}")
-    if ns.query_e is not None:
-        u_star = lut_inverse(table, ns.query_e)
-        print(f"u*({ns.query_e}) = {u_star}  (lut_eval -> {lut_eval(table, u_star)})")
+    if query_e is not None:
+        u_star = lut_inverse(table, query_e)
+        print(f"u*({query_e}) = {u_star}  (lut_eval -> {lut_eval(table, u_star)})")
     return 0
 
 
@@ -204,7 +226,7 @@ def main(argv=None) -> int:
         if ns.command == "simulate":
             return cmd_simulate(parse_config(ns))
         if ns.command == "gradcheck":
-            return cmd_gradcheck(ns.seed, ns.trials)
+            return cmd_gradcheck(**typed_flags(ns, GRADCHECK_SCHEMA))
         if ns.command == "lut":
             return cmd_lut(ns)
         raise UsageError(f"unknown command {ns.command!r}")

@@ -87,13 +87,17 @@ class SimConfig:
                 raise ConfigError(f"{key}: file not found: {params['path']}")
 
 
+# Parameters of the synthetic table, typed as `synthetic:` spec keys or as
+# `daylux lut generate` flags.
+SYNTHETIC_LUT_SCHEMA = {"e_max": "int", "shape": "float", "knots": "int"}
+
+
 def parse_lut_spec(spec: str):
     """Split a LUT source spec into (kind, params)."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
     if kind == "synthetic":
-        schema = {"e_max": "int", "shape": "float", "knots": "int"}
-        return "synthetic", _parse_kv(rest, kind, schema)
+        return "synthetic", _parse_kv(rest, kind, SYNTHETIC_LUT_SCHEMA)
     if kind == "csv":
         if not rest:
             raise ValueError("csv source needs a path, e.g. csv:table.csv")
@@ -137,6 +141,11 @@ def build_lut(cfg: SimConfig) -> plant.ProcessLut:
     kind, params = parse_lut_spec(cfg.lut_source)
     if kind == "csv":
         return plant.load_lut_csv(params["path"])
+    return synthetic_lut(params)
+
+
+def synthetic_lut(params: dict) -> plant.ProcessLut:
+    """The synthetic table for converted SYNTHETIC_LUT_SCHEMA values; absent keys default."""
     return plant.synth_default_lut(
         e_max=params.get("e_max", plant.DEFAULT_LUT_E_MAX),
         gamma_shape=params.get("shape", plant.DEFAULT_LUT_SHAPE),

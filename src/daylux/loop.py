@@ -120,7 +120,11 @@ def inverse_action(inv: TinyNet, e2: int, e1: int, e0: int) -> int:
     The raw output is limited to [-1, 1] before conversion, the same rule the
     controller output follows.
     """
-    x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
+    x = [
+        scale_to_unit(check_d8bv(e2, "e")),
+        scale_to_unit(check_d8bv(e1, "e")),
+        scale_to_unit(check_d8bv(e0, "e")),
+    ]
     y, _ = forward(inv, x)
     if not isfinite(y):
         raise DivergenceError("inverse model")
@@ -130,7 +134,11 @@ def inverse_action(inv: TinyNet, e2: int, e1: int, e0: int) -> int:
 def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
     """One online update toward triple -> command; returns pre-update loss."""
     e2, e1, e0 = e_triple
-    x = [scale_to_unit(check_d8bv(e, "e")) for e in (e2, e1, e0)]
+    x = [
+        scale_to_unit(check_d8bv(e2, "e")),
+        scale_to_unit(check_d8bv(e1, "e")),
+        scale_to_unit(check_d8bv(e0, "e")),
+    ]
     return _descend(inv, x, scale_to_unit(check_d8bv(u_target, "u_target")), "inverse model")
 
 

@@ -68,6 +68,8 @@ def scale_error(eps: int) -> float:
 
     Both error scalings divide eps by 255, so this takes no scaling.
     """
+    if type(eps) is int and -255 <= eps <= 255:  # the per-step case, checked first
+        return eps / EPS_SPAN
     if isinstance(eps, bool) or not isinstance(eps, int):
         raise ValueError(f"eps must be an int, got {type(eps).__name__}")
     if not -EPS_SPAN <= eps <= EPS_SPAN:
@@ -82,6 +84,8 @@ def scale_delta_error(deps: int, scaling: str = "independent") -> float:
     channel's divisor, so a one-step swing across the whole range maps to the
     same magnitude as a full-range error.
     """
+    if scaling == "independent" and type(deps) is int and -510 <= deps <= 510:
+        return deps / DEPS_SPAN  # the default per-step case, checked first
     if scaling not in ERROR_SCALINGS:
         raise ValueError(f"error scaling must be one of {ERROR_SCALINGS}, got {scaling!r}")
     if isinstance(deps, bool) or not isinstance(deps, int):

@@ -25,8 +25,8 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import exp
 
 from .rng import SplitMix64
 
@@ -56,7 +56,7 @@ def tanh(x: float) -> float:
         return 1.0
     if x <= -20.0:
         return -1.0
-    e = math.exp(-2.0 * abs(x))
+    e = exp(-2.0 * abs(x))
     t = (1.0 - e) / (1.0 + e)
     return t if x >= 0.0 else -t
 
@@ -72,6 +72,8 @@ def init_network(
     With ``use_bias=False`` the bias slots exist but stay 0.0 and consume no
     random draws, so toggling the flag does not shift the weight stream.
     """
+    if n_inputs not in (2, 3):
+        raise ValueError(f"n_inputs must be 2 or 3, got {n_inputs}")
     if not (learning_rate > 0.0):
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     rng = SplitMix64(seed)
@@ -86,16 +88,41 @@ def init_network(
 
 
 def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
-    """Run the network; returns (output, hidden activations)."""
+    """Run the network; returns (output, hidden activations).
+
+    The hidden sums are unrolled for the two input widths and ``tanh`` is
+    inlined; both are the exact expressions the conventions above describe,
+    so the result is bit-identical to the generic row loop.
+    """
     x = list(map(float, inputs))
-    if len(x) != len(net.w1[0]) - 1:
+    w1 = net.w1
+    if len(x) != len(w1[0]) - 1:
         raise ValueError(f"expected {net.n_inputs} inputs, got {len(x)}")
+    r0, r1, r2 = w1
+    if len(x) == 2:
+        x0, x1 = x
+        sums = (
+            r0[2] + r0[0] * x0 + r0[1] * x1,
+            r1[2] + r1[0] * x0 + r1[1] * x1,
+            r2[2] + r2[0] * x0 + r2[1] * x1,
+        )
+    else:
+        x0, x1, x2 = x
+        sums = (
+            r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2,
+            r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2,
+            r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2,
+        )
     h = []
-    for row in net.w1:
-        s = row[-1]  # bias first, then w * v in input order (zip drops the bias)
-        for w, v in zip(row, x):
-            s += w * v
-        h.append(tanh(s))
+    for s in sums:  # tanh(s), the expression and cut-offs of tanh() above
+        if s >= 20.0:
+            h.append(1.0)
+        elif s <= -20.0:
+            h.append(-1.0)
+        else:
+            e = exp(-2.0 * abs(s))
+            t = (1.0 - e) / (1.0 + e)
+            h.append(t if s >= 0.0 else -t)
     w2 = net.w2
     return w2[3] + w2[0] * h[0] + w2[1] * h[1] + w2[2] * h[2], h
 
@@ -128,26 +155,39 @@ def train_step(net: TinyNet, inputs, target: float) -> float:
     """One online gradient-descent update; returns the pre-update loss.
 
     The same arithmetic as applying ``backprop_gradients`` (``w -= lr * g``),
-    fused: the hidden deltas are taken from the pre-update output row before
-    any parameter changes, and the rows are then updated in place.
+    fused and unrolled: the hidden deltas are taken from the pre-update output
+    row before any parameter changes, and the rows are then updated in place.
     """
     t = float(target)
     x = list(map(float, inputs))
-    y, h = forward(net, x)
+    y, (h0, h1, h2) = forward(net, x)
     d = y - t
     loss = 0.5 * (t - y) ** 2
     lr = net.learning_rate
-    use_bias = net.use_bias
     w2 = net.w2
-    for row, wj, hj in zip(net.w1, w2, h):
-        dj = wj * d * (1.0 - hj * hj)
-        for i, v in enumerate(x):
-            row[i] -= lr * (dj * v)
-        if use_bias:
-            row[-1] -= lr * dj
-    for j, hj in enumerate(h):
-        w2[j] -= lr * (d * hj)
-    if use_bias:
+    r0, r1, r2 = net.w1
+    d0 = w2[0] * d * (1.0 - h0 * h0)
+    d1 = w2[1] * d * (1.0 - h1 * h1)
+    d2 = w2[2] * d * (1.0 - h2 * h2)
+    x0, x1 = x[0], x[1]
+    r0[0] -= lr * (d0 * x0)
+    r0[1] -= lr * (d0 * x1)
+    r1[0] -= lr * (d1 * x0)
+    r1[1] -= lr * (d1 * x1)
+    r2[0] -= lr * (d2 * x0)
+    r2[1] -= lr * (d2 * x1)
+    if len(x) == 3:
+        x2 = x[2]
+        r0[2] -= lr * (d0 * x2)
+        r1[2] -= lr * (d1 * x2)
+        r2[2] -= lr * (d2 * x2)
+    w2[0] -= lr * (d * h0)
+    w2[1] -= lr * (d * h1)
+    w2[2] -= lr * (d * h2)
+    if net.use_bias:
+        r0[-1] -= lr * d0
+        r1[-1] -= lr * d1
+        r2[-1] -= lr * d2
         w2[3] -= lr * d
     return loss
 

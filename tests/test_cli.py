@@ -157,6 +157,35 @@ def test_lut_generate_rejects_bad_params(tmp_path, capsys):
     assert main(["lut", "generate", "--out", str(tmp_path / "t.csv"), "--e-max", "10"]) == 1
 
 
+def test_lut_inspect_rejects_an_out_of_range_query_before_printing(capsys):
+    assert main(["lut", "inspect", "--query-e", "300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: query_e must be in [0, 255], got 300\n"
+
+
+@pytest.mark.parametrize("argv, key, value, type_name", [
+    ("lut generate --out {out} --e-max", "e_max", "1.5", "int"),
+    ("lut generate --out {out} --shape", "shape", "steep", "float"),
+    ("lut generate --out {out} --knots", "knots", "x", "int"),
+    ("lut inspect --query-e", "query_e", "x", "int"),
+    ("gradcheck --seed", "seed", "x", "int"),
+    ("gradcheck --trials", "trials", "1.5", "int"),
+])
+def test_typed_subcommand_flags_go_through_the_config_converter(
+    tmp_path, capsys, argv, key, value, type_name
+):
+    out = tmp_path / "t.csv"
+    assert main([a.format(out=out) for a in argv.split()] + [value]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    want = f"bad value for {key!r}: {value!r} (expected {type_name})"
+    assert err == f"error: command line: {want}\n"
+    if argv.startswith("lut generate"):  # the same key typed in a LUT spec
+        assert main(["simulate", "--lut", f"synthetic:{key}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: lut: synthetic: {want}\n"
+
+
 def test_daylight_csv_length_sets_run_length(tmp_path, capsys):
     day = tmp_path / "day.csv"
     day.write_text("k,e\n" + "".join(f"{k},{30 + k}\n" for k in range(10)))

@@ -317,3 +317,18 @@ def test_per_step_call_counts(monkeypatch):
         totals.append(dict(counts))
     per_step = {key: (totals[1][key] - totals[0][key]) / 100 for key in counts}
     assert per_step == PINNED_CALLS_PER_STEP
+
+
+def test_run_loop_calls_the_module_level_loop_step_once_per_step(monkeypatch):
+    # the benchmark ends a run's set-up at the first loop_step call it sees
+    # through daylux.loop, so run_loop must keep looking the step up there
+    calls = []
+    step = loop_mod.loop_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(loop_mod, "loop_step", counted)
+    records, _ = run_simulation(SimConfig(steps=50))
+    assert len(records) == len(calls) == 50

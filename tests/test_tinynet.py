@@ -86,6 +86,9 @@ def test_init_network_validation():
         init_network(2, learning_rate=0.0)
     with pytest.raises(ValueError):
         init_network(2, learning_rate=float("nan"))
+    for n_inputs in (1, 4):  # forward is written for the two loop shapes only
+        with pytest.raises(ValueError, match=f"n_inputs must be 2 or 3, got {n_inputs}"):
+            init_network(n_inputs)
 
 
 def test_forward_trace_shape():
@@ -104,10 +107,71 @@ def test_forward_zeroed_net_outputs_bias():
 
 
 def test_forward_rejects_wrong_arity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 2 inputs, got 1$"):
         forward(init_network(2), [0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 3 inputs, got 2$"):
         loss_eval(init_network(3), [0.1, 0.2], 0.0)
+    with pytest.raises(ValueError, match="^expected 2 inputs, got 3$"):
+        forward(init_network(2), (0.1, 0.2, 0.3))
+
+
+def reference_forward(net, inputs):
+    """The generic n-3-1 forward pass: a bias-first row loop and tinynet.tanh."""
+    x = [float(v) for v in inputs]
+    h = []
+    for row in net.w1:
+        s = row[-1]
+        for w, v in zip(row, x):
+            s += w * v
+        h.append(tanh(s))
+    y = net.w2[-1]
+    for w, hj in zip(net.w2, h):
+        y += w * hj
+    return y, h
+
+
+# Hidden sums at and around tanh's cut-offs, signed zeros, small negatives,
+# huge values and the non-finite ones a diverging net produces (nan must stay
+# nan, so that the loop sees the divergence); each is reached exactly by a
+# row whose only non-zero entry is its bias.
+EDGE_SUMS = [
+    20.0, -20.0, 19.999, -19.999, 0.0, -0.0, -1e-300, -1e-9, -0.3, 1e6, -1e6,
+    math.inf, -math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("use_bias", [True, False])
+def test_forward_is_the_generic_row_loop_bit_for_bit(n, use_bias):
+    def hexed(result):
+        y, h = result
+        return y.hex(), [v.hex() for v in h]
+
+    rng = SplitMix64(11 + n)
+    for trial in range(200):
+        net = init_network(n, seed=rng.next_u64(), use_bias=use_bias)
+        scale = (1.0, 10.0, 60.0)[trial % 3]  # the last drives rows past +-20
+        for row in net.w1:
+            row[:n] = [w * scale for w in row[:n]]
+        x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        assert hexed(forward(net, x)) == hexed(reference_forward(net, x))
+    net = init_network(n, use_bias=use_bias)
+    x = [-0.5] * n  # zero weights times -0.5 add -0.0, which leaves every bias as is
+    for i in range(0, len(EDGE_SUMS), 3):
+        biases = (EDGE_SUMS[i:i + 3] + [0.0, 0.0])[:3]
+        for row, bias in zip(net.w1, biases):
+            row[:] = [0.0] * n + [bias]
+        y, h = forward(net, x)
+        assert [v.hex() for v in h] == [tanh(b).hex() for b in biases]
+        assert hexed((y, h)) == hexed(reference_forward(net, x))
+
+
+def test_forward_accepts_ints_tuples_and_generators():
+    net = init_network(3, seed=6)
+    want = forward(net, [1.0, 0.0, -1.0])
+    assert forward(net, [1, 0, -1]) == want
+    assert forward(net, (1.0, 0, -1)) == want
+    assert forward(net, (v for v in (1, 0.0, -1))) == want
 
 
 def test_loss_eval_definition():
