@@ -105,29 +105,19 @@ def parse_lut_spec(spec: str):
     raise ValueError(f"unknown LUT source {kind!r} (expected synthetic or csv)")
 
 
-# Daylight kinds whose integer values are given by position, in this order.
-_POSITIONAL_VALUES = {
-    "constant": ("level",),
-    "step": ("level0", "level1", "k_switch"),
-    "ramp": ("level0", "level1"),
-}
-
-
 def parse_daylight_spec(spec: str):
     """Split a daylight source spec into (kind, params)."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind in _POSITIONAL_VALUES:
-        names = _POSITIONAL_VALUES[kind]
+    if kind in plant.DAYLIGHT_PARAMS:
+        schema = plant.DAYLIGHT_PARAMS[kind]
+        if kind == "fast":
+            return kind, _parse_kv(rest, kind, schema)
         parts = rest.split(",") if rest else []
-        if len(parts) != len(names):
-            plural = "s" if len(names) > 1 else ""
-            raise ValueError(f"{kind} needs {len(names)} value{plural}: {kind}:{','.join(names)}")
-        schema = dict.fromkeys(names, "int")
-        return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(names, parts)}
-    if kind == "fast":
-        schema = {"base": "int", "amplitude": "int", "step_prob": "float", "max_jump": "int"}
-        return "fast", _parse_kv(rest, kind, schema)
+        if len(parts) != len(schema):
+            plural = "s" if len(schema) > 1 else ""
+            raise ValueError(f"{kind} needs {len(schema)} value{plural}: {kind}:{','.join(schema)}")
+        return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(schema, parts)}
     if kind == "csv":
         if not rest:
             raise ValueError("csv source needs a path, e.g. csv:daylight.csv")
@@ -141,7 +131,10 @@ def build_lut(cfg: SimConfig) -> plant.ProcessLut:
     kind, params = parse_lut_spec(cfg.lut_source)
     if kind == "csv":
         return plant.load_lut_csv(params["path"])
-    return synthetic_lut(params)
+    try:
+        return synthetic_lut(params)
+    except ValueError as exc:
+        raise ConfigError(f"lut: {kind}: {exc}") from exc
 
 
 def synthetic_lut(params: dict) -> plant.ProcessLut:
@@ -157,7 +150,10 @@ def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
     kind, params = parse_daylight_spec(cfg.daylight_source)
     if kind == "csv":
         return plant.load_daylight_csv(params["path"])
-    return plant.gen_daylight(kind, cfg.steps, seed=cfg.seed_daylight, **params)
+    try:
+        return plant.gen_daylight(kind, cfg.steps, seed=cfg.seed_daylight, **params)
+    except ValueError as exc:
+        raise ConfigError(f"daylight: {kind}: {exc}") from exc
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -31,6 +31,15 @@ FAST_AMPLITUDE = 60
 FAST_STEP_PROB = 0.05
 FAST_MAX_JUMP = 50
 
+# The parameters of each generated daylight kind and their types.  The
+# constant, step and ramp specs give their values by position, in this order.
+DAYLIGHT_PARAMS = {
+    "constant": {"level": "int"},
+    "step": {"level0": "int", "level1": "int", "k_switch": "int"},
+    "ramp": {"level0": "int", "level1": "int"},
+    "fast": {"base": "int", "amplitude": "int", "step_prob": "float", "max_jump": "int"},
+}
+
 
 class TableFormatError(ValueError):
     """A CSV file failed validation; the message names the offending line."""
@@ -156,32 +165,32 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
     """
     if length < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
+    if kind not in DAYLIGHT_PARAMS:
+        raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")
+    extras = sorted(set(params) - DAYLIGHT_PARAMS[kind].keys())
+    if extras:
+        raise ValueError(f"unexpected parameter(s) for daylight kind {kind!r}: {', '.join(extras)}")
     if kind == "constant":
-        level = check_d8bv(int(params.pop("level", 30)), "level")
-        _reject_extras(kind, params)
+        level = check_d8bv(params.get("level", 30), "level")
         return DaylightTrajectory((level,) * length, "constant")
+    if kind == "fast":
+        return _gen_fast_changes(length, seed, **params)
+    c0 = check_d8bv(params.get("level0", 0), "level0")
+    c1 = check_d8bv(params.get("level1", 100), "level1")
     if kind == "step":
-        c0 = check_d8bv(int(params.pop("level0", 0)), "level0")
-        c1 = check_d8bv(int(params.pop("level1", 100)), "level1")
-        k_switch = int(params.pop("k_switch", length // 2))
-        _reject_extras(kind, params)
+        k_switch = params.get("k_switch", length // 2)
+        if type(k_switch) is not int:
+            raise ValueError(f"k_switch must be an int, got {type(k_switch).__name__}")
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
         samples = tuple(c0 if k < k_switch else c1 for k in range(length))
         return DaylightTrajectory(samples, "step")
-    if kind == "ramp":
-        c0 = check_d8bv(int(params.pop("level0", 0)), "level0")
-        c1 = check_d8bv(int(params.pop("level1", 100)), "level1")
-        _reject_extras(kind, params)
-        if length == 1:
-            return DaylightTrajectory((c0,), "ramp")
-        samples = tuple(
-            round_half_away(c0 + (c1 - c0) * k / (length - 1)) for k in range(length)
-        )
-        return DaylightTrajectory(samples, "ramp")
-    if kind == "fast":
-        return _gen_fast_changes(length, seed, **params)
-    raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")
+    if length == 1:
+        return DaylightTrajectory((c0,), "ramp")
+    samples = tuple(
+        round_half_away(c0 + (c1 - c0) * k / (length - 1)) for k in range(length)
+    )
+    return DaylightTrajectory(samples, "ramp")
 
 
 def _gen_fast_changes(
@@ -202,15 +211,12 @@ def _gen_fast_changes(
     min(255, base+amplitude)].  Draw budget: one u64 on drift steps, three
     on jump steps, plus one for the initial slope.
     """
-    base = check_d8bv(int(base), "base")
-    amplitude = int(amplitude)
-    max_jump = int(max_jump)
-    if not 1 <= amplitude <= D8BV_MAX:
-        raise ValueError(f"amplitude must be in [1, 255], got {amplitude}")
+    base = check_d8bv(base, "base")
+    for name, value in (("amplitude", amplitude), ("max_jump", max_jump)):
+        if check_d8bv(value, name) < 1:
+            raise ValueError(f"{name} must be in [1, 255], got {value}")
     if not 0.0 <= step_prob <= 1.0:
         raise ValueError(f"step_prob must be in [0, 1], got {step_prob}")
-    if not 1 <= max_jump <= D8BV_MAX:
-        raise ValueError(f"max_jump must be in [1, 255], got {max_jump}")
     lo = max(0, base - amplitude)
     hi = min(D8BV_MAX, base + amplitude)
     rng = SplitMix64(seed)
@@ -336,8 +342,3 @@ def _int_cell(path, lineno: int, cells: list[str], idx: int, name: str) -> int:
             f"{path}: column {name!r} must be an integer at line {lineno}, got {cells[idx]!r}"
         ) from None
 
-
-def _reject_extras(kind: str, params: dict) -> None:
-    if params:
-        names = ", ".join(sorted(params))
-        raise ValueError(f"unexpected parameter(s) for daylight kind {kind!r}: {names}")

@@ -34,14 +34,12 @@ def round_half_away(x: float) -> int:
 
 
 def check_d8bv(value: int, name: str = "value") -> int:
-    """Validate an 8-bit signal; bools are rejected, range is [0, 255]."""
-    if type(value) is int and 0 <= value <= 255:  # the per-step case, checked first
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Validate an 8-bit signal: exactly an int (no bool or other subclass) in [0, 255]."""
+    if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {type(value).__name__}")
-    if not D8BV_MIN <= value <= D8BV_MAX:
-        raise ValueError(f"{name} must be in [0, 255], got {value}")
-    return value
+    if 0 <= value <= 255:  # literal bounds and no taken jump: ~30 calls per step
+        return value
+    raise ValueError(f"{name} must be in [0, 255], got {value}")
 
 
 def scale_to_unit(value: int) -> float:
@@ -68,13 +66,11 @@ def scale_error(eps: int) -> float:
 
     Both error scalings divide eps by 255, so this takes no scaling.
     """
-    if type(eps) is int and -255 <= eps <= 255:  # the per-step case, checked first
-        return eps / EPS_SPAN
-    if isinstance(eps, bool) or not isinstance(eps, int):
+    if type(eps) is not int:
         raise ValueError(f"eps must be an int, got {type(eps).__name__}")
-    if not -EPS_SPAN <= eps <= EPS_SPAN:
-        raise ValueError(f"eps must be in [-255, 255], got {eps}")
-    return eps / EPS_SPAN
+    if -255 <= eps <= 255:
+        return eps / EPS_SPAN
+    raise ValueError(f"eps must be in [-255, 255], got {eps}")
 
 
 def scale_delta_error(deps: int, scaling: str = "independent") -> float:
@@ -84,18 +80,16 @@ def scale_delta_error(deps: int, scaling: str = "independent") -> float:
     channel's divisor, so a one-step swing across the whole range maps to the
     same magnitude as a full-range error.
     """
-    if scaling == "independent" and type(deps) is int and -510 <= deps <= 510:
-        return deps / DEPS_SPAN  # the default per-step case, checked first
-    if scaling not in ERROR_SCALINGS:
-        raise ValueError(f"error scaling must be one of {ERROR_SCALINGS}, got {scaling!r}")
-    if isinstance(deps, bool) or not isinstance(deps, int):
+    if type(deps) is not int:
         raise ValueError(f"deps must be an int, got {type(deps).__name__}")
-    if not -DEPS_SPAN <= deps <= DEPS_SPAN:
+    if not -510 <= deps <= 510:
         raise ValueError(f"deps must be in [-510, 510], got {deps}")
+    if scaling == "independent":
+        return deps / DEPS_SPAN
     if scaling == "shared255":
         d = max(-255, min(255, deps))
         return d / 255
-    return deps / DEPS_SPAN
+    raise ValueError(f"error scaling must be one of {ERROR_SCALINGS}, got {scaling!r}")
 
 
 def clamp8_sum(a: int, b: int) -> int:

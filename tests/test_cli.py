@@ -263,9 +263,24 @@ def test_lut_parameter_errors_name_the_typed_key(tmp_path, capsys, key, value, i
     assert main(["lut", "generate", "--out", str(tmp_path / "t.csv"), f"--{key}", value]) == 1
     assert main(["simulate", "--steps", "5", "--lut", f"synthetic:{key}={value}",
                  "--out-dir", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.count(f"error: {key} must be") == 2
-    assert internal not in err
+    generate_err, simulate_err = capsys.readouterr().err.splitlines()
+    assert generate_err.startswith(f"error: {key} must be")
+    assert simulate_err.startswith(f"error: lut: synthetic: {key} must be")
+    assert internal not in generate_err + simulate_err
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--daylight", "constant:300", "daylight: constant: level must be in [0, 255], got 300"),
+    ("--daylight", "fast:amplitude=0", "daylight: fast: amplitude must be in [1, 255], got 0"),
+    ("--daylight", "step:0,100,-3", "daylight: step: k_switch must be >= 0, got -3"),
+    ("--daylight", "ramp:0,999", "daylight: ramp: level1 must be in [0, 255], got 999"),
+    ("--lut", "synthetic:e_max=50", "lut: synthetic: e_max must be in [120, 255], got 50"),
+])
+def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, message):
+    out = tmp_path / "o"
+    assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 # A bad value for every field that takes one on the command line, as typed

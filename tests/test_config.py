@@ -12,6 +12,7 @@ from daylux.config import (
     parse_daylight_spec,
     parse_lut_spec,
 )
+from daylux.plant import DAYLIGHT_PARAMS
 
 
 def test_default_config_is_valid():
@@ -94,6 +95,17 @@ def test_parse_daylight_spec():
         with pytest.raises(ValueError) as err:
             parse_daylight_spec(bad)
         assert str(err.value) == message
+
+
+def test_positional_daylight_specs_follow_the_plant_parameter_order():
+    for kind, schema in DAYLIGHT_PARAMS.items():
+        if kind == "fast":  # given as key=value, not by position
+            continue
+        _, params = parse_daylight_spec(f"{kind}:" + ",".join(["7"] * len(schema)))
+        assert list(params) == list(schema)
+        with pytest.raises(ValueError) as err:
+            parse_daylight_spec(f"{kind}:" + ",".join(["7"] * (len(schema) + 1)))
+        assert str(err.value).endswith(f": {kind}:{','.join(schema)}")
 
 
 def test_build_lut_passes_parameters():

@@ -158,6 +158,13 @@ def test_gen_daylight_validation():
         gen_daylight("fast", 10, amplitude=0)
     with pytest.raises(ValueError):
         gen_daylight("step", 10, k_switch=-1)
+    with pytest.raises(ValueError, match=r"^unexpected parameter\(s\) .* 'fast': foo$"):
+        gen_daylight("fast", 10, foo=1)  # a ValueError naming it, not a TypeError
+    for kind, key in (("constant", "level"), ("step", "level0"), ("step", "k_switch"),
+                      ("ramp", "level1"), ("fast", "base"), ("fast", "amplitude"),
+                      ("fast", "max_jump")):
+        with pytest.raises(ValueError, match=rf"^{key} must be an int, got float$"):
+            gen_daylight(kind, 3, **{key: 30.9})  # rejected, not truncated to 30
 
 
 def test_daylight_trajectory_validates_samples():

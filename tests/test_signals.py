@@ -91,7 +91,8 @@ def test_scale_delta_error_rejects_out_of_range():
 
 
 def test_scale_delta_error_rejects_unknown_scaling():
-    with pytest.raises(ValueError):
+    message = r"^error scaling must be one of \('independent', 'shared255'\), got 'percent'$"
+    with pytest.raises(ValueError, match=message):
         scale_delta_error(0, "percent")
 
 
@@ -117,11 +118,13 @@ def test_check_d8bv_rejects_bad_values():
         check_d8bv(1.5)
 
 
-def test_check_d8bv_slow_path_keeps_its_verdicts_and_messages():
-    class Level(IntEnum):
-        FIVE = 5
+class Level(IntEnum):
+    FIVE = 5
 
-    assert check_d8bv(Level.FIVE) is Level.FIVE  # int subclass, not bool: accepted
+
+def test_check_d8bv_verdicts_and_messages():
+    with pytest.raises(ValueError, match=r"^value must be an int, got Level$"):
+        check_d8bv(Level.FIVE)  # an int subclass is rejected like bool
     with pytest.raises(ValueError, match=r"^flag must be an int, got bool$"):
         check_d8bv(True, "flag")
     with pytest.raises(ValueError, match=r"^value must be an int, got float$"):
@@ -130,3 +133,18 @@ def test_check_d8bv_slow_path_keeps_its_verdicts_and_messages():
         check_d8bv(-1, "u")
     with pytest.raises(ValueError, match=r"^value must be in \[0, 255\], got 256$"):
         check_d8bv(256)
+
+
+@pytest.mark.parametrize("name, span, scale", [
+    ("eps", 255, scale_error),
+    ("deps", 510, lambda d: scale_delta_error(d, "independent")),
+    ("deps", 510, lambda d: scale_delta_error(d, "shared255")),
+], ids=["eps", "deps-independent", "deps-shared255"])
+def test_error_scalings_reject_non_ints_and_out_of_range(name, span, scale):
+    for bad in (True, 1.0, Level.FIVE):
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got {type(bad).__name__}$"):
+            scale(bad)
+    for bad in (span + 1, -span - 1):
+        message = rf"^{name} must be in \[-{span}, {span}\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            scale(bad)
