@@ -215,18 +215,11 @@ def loop_step(
     else:
         loss_controller = 0.0
 
+    # Positional, which builds faster than keywords; the field order is the
+    # trajectory column order, which a test pins.
     record = StepRecord(
-        k=state.k,
-        e_desired=e_desired_k,
-        e_daylight=e_daylight_k,
-        e_electric=e_electric,
-        e_measured=e_measured,
-        eps=eps,
-        deps=deps,
-        u=u,
-        u_im=u_im,
-        loss_inverse=loss_inverse,
-        loss_controller=loss_controller,
+        state.k, e_desired_k, e_daylight_k, e_electric, e_measured,
+        eps, deps, u, u_im, loss_inverse, loss_controller,
     )
     state.eps_prev = eps
     state.deps_prev = deps

@@ -74,12 +74,6 @@ class ProcessLut:
         object.__setattr__(self, "_us", tuple(u for u, _ in self.knots))
         object.__setattr__(self, "_es", tuple(e for _, e in self.knots))
 
-    def u_values(self) -> list[int]:
-        return list(self._us)
-
-    def e_values(self) -> list[int]:
-        return list(self._es)
-
 
 def lut_eval(lut: ProcessLut, u: int) -> int:
     """Electric illuminance for command u (piecewise-linear, rounded)."""
@@ -148,7 +142,13 @@ class DaylightTrajectory:
 
     def __post_init__(self) -> None:
         for k, s in enumerate(self.samples):
-            check_d8bv(s, f"daylight sample at k={k}")
+            try:
+                check_d8bv(s, "daylight sample")
+            except ValueError as exc:
+                # the step goes into the name only on failure: formatting it
+                # for every sample cost milliseconds on long trajectories
+                msg = str(exc).replace("daylight sample", f"daylight sample at k={k}", 1)
+                raise ValueError(msg) from None
 
     def __len__(self) -> int:
         return len(self.samples)

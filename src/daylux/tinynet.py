@@ -101,30 +101,42 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
     r0, r1, r2 = w1
     if len(x) == 2:
         x0, x1 = x
-        sums = (
-            r0[2] + r0[0] * x0 + r0[1] * x1,
-            r1[2] + r1[0] * x0 + r1[1] * x1,
-            r2[2] + r2[0] * x0 + r2[1] * x1,
-        )
+        s0 = r0[2] + r0[0] * x0 + r0[1] * x1
+        s1 = r1[2] + r1[0] * x0 + r1[1] * x1
+        s2 = r2[2] + r2[0] * x0 + r2[1] * x1
     else:
         x0, x1, x2 = x
-        sums = (
-            r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2,
-            r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2,
-            r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2,
-        )
-    h = []
-    for s in sums:  # tanh(s), the expression and cut-offs of tanh() above
-        if s >= 20.0:
-            h.append(1.0)
-        elif s <= -20.0:
-            h.append(-1.0)
-        else:
-            e = exp(-2.0 * abs(s))
-            t = (1.0 - e) / (1.0 + e)
-            h.append(t if s >= 0.0 else -t)
+        s0 = r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2
+        s1 = r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2
+        s2 = r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2
+    # h_j = tanh(s_j) with tanh()'s exact expressions and cut-offs, so even a
+    # NaN sum gives the NaN (sign bit included) that tanh() gives.
+    if s0 >= 20.0:
+        h0 = 1.0
+    elif s0 <= -20.0:
+        h0 = -1.0
+    else:
+        e = exp(-2.0 * abs(s0))
+        t = (1.0 - e) / (1.0 + e)
+        h0 = t if s0 >= 0.0 else -t
+    if s1 >= 20.0:
+        h1 = 1.0
+    elif s1 <= -20.0:
+        h1 = -1.0
+    else:
+        e = exp(-2.0 * abs(s1))
+        t = (1.0 - e) / (1.0 + e)
+        h1 = t if s1 >= 0.0 else -t
+    if s2 >= 20.0:
+        h2 = 1.0
+    elif s2 <= -20.0:
+        h2 = -1.0
+    else:
+        e = exp(-2.0 * abs(s2))
+        t = (1.0 - e) / (1.0 + e)
+        h2 = t if s2 >= 0.0 else -t
     w2 = net.w2
-    return w2[3] + w2[0] * h[0] + w2[1] * h[1] + w2[2] * h[2], h
+    return w2[3] + w2[0] * h0 + w2[1] * h1 + w2[2] * h2, [h0, h1, h2]
 
 
 def loss_eval(net: TinyNet, inputs, target: float) -> float:

@@ -24,7 +24,7 @@ def test_default_lut_shape():
     assert len(lut.knots) == 32
     assert lut.knots[0] == (0, 0)
     assert lut.knots[-1] == (255, 180)
-    es = lut.e_values()
+    es = [e for _, e in lut.knots]
     assert all(a <= b for a, b in zip(es, es[1:]))
 
 
@@ -90,7 +90,7 @@ def test_synth_lut_validation():
         synth_default_lut(gamma_shape=0.0)
     with pytest.raises(ValueError):
         synth_default_lut(knot_count=4)
-    assert synth_default_lut(knot_count=256).u_values() == list(range(256))
+    assert [u for u, _ in synth_default_lut(knot_count=256).knots] == list(range(256))
     with pytest.raises(ValueError, match=r"knots must be in \[8, 256\], got 10000000000"):
         synth_default_lut(knot_count=10**10)  # rejected before any knot is built
 
@@ -168,8 +168,10 @@ def test_gen_daylight_validation():
 
 
 def test_daylight_trajectory_validates_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^daylight sample at k=1 must be in \[0, 255\], got 500$"):
         DaylightTrajectory((0, 500), "constant")
+    with pytest.raises(ValueError, match=r"^daylight sample at k=2 must be an int, got float$"):
+        DaylightTrajectory((0, 1, 2.0, 300), "constant")
     assert len(DaylightTrajectory((), "empty")) == 0
 
 
@@ -270,9 +272,8 @@ def test_process_lut_equality_hash_and_repr_see_only_knots():
     assert a == b and hash(a) == hash(b)
     assert a != ProcessLut(((0, 0), (255, 180)))
     assert repr(a) == f"ProcessLut(knots={a.knots!r})"
-    assert a.u_values() == [u for u, _ in a.knots]
-    assert a.e_values() == [e for _, e in a.knots]
-    assert type(a.u_values()) is list and type(a.e_values()) is list
+    assert a._us == tuple(u for u, _ in a.knots)
+    assert a._es == tuple(e for _, e in a.knots)
 
 
 def _interpolate_exactly(knots, u):

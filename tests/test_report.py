@@ -1,5 +1,10 @@
 """Tests for the artifact writers: CSV formats, summary text, SVG output."""
 
+import hashlib
+from dataclasses import fields
+
+import pytest
+
 from daylux.config import SimConfig
 from daylux.loop import StepRecord, run_simulation
 from daylux.metrics import band_report
@@ -8,6 +13,7 @@ from daylux.report import (
     format_real,
     summary_text,
     write_panel_csvs,
+    write_panel_svgs,
     write_run_artifacts,
     write_trajectory_csv,
 )
@@ -37,6 +43,13 @@ def test_trajectory_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == TRAJECTORY_HEADER
     assert lines[1] == "0,100,40,0,40,60,60,128,128,7.68935025e-06,0"
+
+
+def test_step_record_fields_follow_the_trajectory_columns():
+    # write_trajectory_csv names fields and loop_step fills them by position,
+    # so the two orders must agree column for column
+    columns = [c.lower() for c in TRAJECTORY_HEADER.split(",")]
+    assert [f.name for f in fields(StepRecord)] == columns
 
 
 def test_panel_csv_headers(tmp_path):
@@ -89,3 +102,36 @@ def test_svg_files_are_wellformed_charts(tmp_path):
         body = open(p).read()
         assert body.startswith("<svg ") or body.startswith("<?xml")
         assert "<polyline" in body and body.rstrip().endswith("</svg>")
+
+
+SVG_DIGESTS = [
+    pytest.param(
+        {},
+        {
+            "panel_illuminance.svg": "48b080d5d0acb0fa0d343889e9aab6d3c2676c06cc54e1c5d80e6b469a3975cb",
+            "panel_error.svg": "601ba2e72e628fc46b96fa38a2b91ed2c536d565e6bcfca757ec4c105b71b0f3",
+            "panel_command.svg": "dcf662e604210794ed8e7b22b54b3d59e16c7c2bc1f7c2ce5cea3baf2ab80aba",
+        },
+        id="default",
+    ),
+    pytest.param(  # one point per series: the x axis falls back to [0, 1]
+        {"steps": 1},
+        {
+            "panel_illuminance.svg": "71dccc55cf711e55425d169c5c8edc235372fe4b65fa36a45b9fef5c46373d6a",
+            "panel_error.svg": "4e30d04c82d2890090c59464593938ccacfd98fe6516b50f1859eb576bb5d823",
+            "panel_command.svg": "b3306731f62e684724f741dab1cc39bbd3dcb0e46482fe31210438857f7681fd",
+        },
+        id="steps1",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides,digests", SVG_DIGESTS)
+def test_panel_svg_digests_are_frozen(overrides, digests, tmp_path):
+    recs, _ = run_simulation(SimConfig(**overrides))
+    paths = write_panel_svgs(recs, tmp_path)
+    got = {}
+    for p in map(str, paths):
+        with open(p, "rb") as fh:
+            got[p.rsplit("/", 1)[-1]] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == digests
