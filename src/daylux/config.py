@@ -60,6 +60,13 @@ class SimConfig:
 
     def validate(self) -> None:
         """Raise ConfigError on any out-of-contract field."""
+        for key, type_name in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if not _has_type(key, value, type_name):
+                article = "an" if type_name == "int" else "a"
+                raise ConfigError(
+                    f"{key} must be {article} {type_name}, got {type(value).__name__}"
+                )
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0 <= self.e_desired <= D8BV_MAX:
@@ -177,6 +184,23 @@ def load_config_file(path) -> dict[str, str]:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _has_type(key: str, value, type_name: str) -> bool:
+    """Whether a SimConfig value has its field's type.
+
+    bool is an int subclass but counts as neither int nor float, int counts
+    as float, and out_dir may be any path object.
+    """
+    if type_name == "bool":
+        return type(value) is bool
+    if type(value) is bool:
+        return False
+    if type_name == "int":
+        return type(value) is int
+    if type_name == "float":
+        return isinstance(value, (int, float))
+    return isinstance(value, str) or (key == "out_dir" and isinstance(value, os.PathLike))
 
 
 def convert(key: str, value: str, schema: dict[str, str], origin: str):

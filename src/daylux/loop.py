@@ -53,6 +53,12 @@ from .tinynet import TinyNet, forward, init_network, train_step
 CONTROLLER_INPUTS = 2
 INVERSE_INPUTS = 3
 
+# One int object for each value eps can take, indexed by that value (a
+# negative index counts from the end).  CPython caches only the ints -5..256,
+# so without it every record whose eps is below -5 holds an int of its own:
+# about 0.5 MB over a 20,000-step fast-daylight run.
+_ERROR_INTS = tuple(range(256)) + tuple(range(-255, 0))
+
 
 class DivergenceError(ValueError):
     """A net's output or training loss stopped being a finite number.
@@ -103,6 +109,21 @@ class StepRecord:
     loss_controller: float
 
 
+class _StepRecordFill:
+    """Mutable twin that loop_step fills and then retypes as a StepRecord.
+
+    A frozen dataclass's __init__ stores every field through
+    object.__setattr__, about a tenth of a whole step's time on CPython 3.11;
+    plain slot stores followed by `__class__ = StepRecord` cost about an
+    eighth of that.  CPython allows the retyping only between classes with
+    the same slot layout, so a twin that drifts from StepRecord raises
+    TypeError at once, and tests compare every record with a keyword-built
+    StepRecord.
+    """
+
+    __slots__ = StepRecord.__slots__
+
+
 def controller_action(
     ctl: TinyNet, eps: int, deps: int, error_scaling: str = "independent"
 ) -> int:
@@ -132,7 +153,11 @@ def inverse_action(inv: TinyNet, e2: int, e1: int, e0: int) -> int:
 
 
 def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
-    """One online update toward triple -> command; returns pre-update loss."""
+    """One online update toward triple -> command; returns pre-update loss.
+
+    e_triple is any 3-item sequence, newest first (loop_step passes its live
+    history list).
+    """
     e2, e1, e0 = e_triple
     x = [
         scale_to_unit(check_d8bv(e2, "e")),
@@ -188,7 +213,7 @@ def loop_step(
     if cfg.plant_delay == 1:
         e_electric = lut_eval(lut, state.u_prev)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = e_desired_k - e_measured
+        eps = _ERROR_INTS[e_desired_k - e_measured]
         deps = eps - state.eps_prev
         u = controller_action(ctl, eps, deps, cfg.error_scaling)
     else:
@@ -197,16 +222,17 @@ def loop_step(
         u = controller_action(ctl, state.eps_prev, state.deps_prev, cfg.error_scaling)
         e_electric = lut_eval(lut, u)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = e_desired_k - e_measured
+        eps = _ERROR_INTS[e_desired_k - e_measured]
         deps = eps - state.eps_prev
 
     _push_hist(state.e_measured_hist, e_measured)
     _push_hist(state.e_desired_hist, e_desired_k)
 
     u_target = u if cfg.inverse_target_lag == 0 else state.u_prev
-    loss_inverse = train_inverse(inv, tuple(state.e_measured_hist), u_target)
+    loss_inverse = train_inverse(inv, state.e_measured_hist, u_target)
 
-    u_im = inverse_action(inv, *state.e_desired_hist)
+    desired = state.e_desired_hist
+    u_im = inverse_action(inv, desired[0], desired[1], desired[2])
 
     if state.k > 0:
         loss_controller = train_controller(
@@ -215,12 +241,19 @@ def loop_step(
     else:
         loss_controller = 0.0
 
-    # Positional, which builds faster than keywords; the field order is the
-    # trajectory column order, which a test pins.
-    record = StepRecord(
-        state.k, e_desired_k, e_daylight_k, e_electric, e_measured,
-        eps, deps, u, u_im, loss_inverse, loss_controller,
-    )
+    record = _StepRecordFill()  # retyped below; see _StepRecordFill
+    record.k = state.k
+    record.e_desired = e_desired_k
+    record.e_daylight = e_daylight_k
+    record.e_electric = e_electric
+    record.e_measured = e_measured
+    record.eps = eps
+    record.deps = deps
+    record.u = u
+    record.u_im = u_im
+    record.loss_inverse = loss_inverse
+    record.loss_controller = loss_controller
+    record.__class__ = StepRecord
     state.eps_prev = eps
     state.deps_prev = deps
     state.u_prev = u
@@ -269,8 +302,10 @@ def run_simulation(cfg: SimConfig):
 
 
 def _push_hist(hist: list[int], value: int) -> None:
-    if not hist:
-        hist.extend((value, value, value))
+    """Shift a newest-first 3-entry history in place; fill an empty one."""
+    if hist:
+        hist[2] = hist[1]
+        hist[1] = hist[0]
+        hist[0] = value
     else:
-        hist.insert(0, value)
-        del hist[3:]
+        hist[:] = (value, value, value)

@@ -14,7 +14,7 @@ conventions are provided; "independent" divides each by its own full span,
 
 from __future__ import annotations
 
-import math
+from math import ceil, floor
 
 D8BV_MIN = 0
 D8BV_MAX = 255
@@ -30,7 +30,7 @@ def round_half_away(x: float) -> int:
     Python's built-in round() ties to even, which would make the 8-bit grid
     mapping non-uniform, so the rule is pinned here.
     """
-    return int(math.floor(x + 0.5)) if x >= 0.0 else int(math.ceil(x - 0.5))
+    return floor(x + 0.5) if x >= 0.0 else ceil(x - 0.5)
 
 
 def check_d8bv(value: int, name: str = "value") -> int:

@@ -1,15 +1,21 @@
-"""Every daylux name the benchmark's tracer wraps still exists.
+"""The benchmark's tracer and its pinned call counts, checked against daylux.
 
-The tracer replaces these names by attribute lookup, so a renamed or deleted
-one breaks each traced benchmark operation.  bench/tracing.py is only read
-here, never imported as a package module.
+The tracer replaces names by attribute lookup, so a renamed or deleted one
+breaks each traced benchmark operation; and the benchmark's self-test pins
+calls per step, which a hot-path edit can move.  Files under bench/ are only
+read here, never imported as package modules.
 """
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
 
-TRACING = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+from daylux.config import SimConfig
+from daylux.loop import run_simulation
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = runpy.run_path(str(BENCH / "tracing.py"))
 
 
 def test_every_traced_name_exists_in_daylux():
@@ -30,3 +36,39 @@ def test_every_traced_name_exists_in_daylux():
         if not callable(getattr(owner, method, None)):
             missing.append(f"{module}.{cls}.{method}")
     assert missing == []
+
+
+def _bench_pin(name: str):
+    """The literal a top-level assignment in bench/test_bench.py gives `name`."""
+    tree = ast.parse((BENCH / "test_bench.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"bench/test_bench.py assigns no {name}")
+
+
+def test_traced_calls_per_step_match_the_benchmark_pins():
+    # count over two run lengths so that set-up calls cancel out; the
+    # difference holds the daylight samples' own checks, as a long run does
+    pins = _bench_pin("EXPECTED_PER_STEP")
+    assert pins
+    for wiring in (
+        {"plant_delay": 1},
+        {"plant_delay": 0},
+        {"inverse_target_lag": 1},
+        {"error_scaling": "shared255"},
+        {"use_bias": False},
+    ):
+        calls = []
+        for steps in (50, 150):
+            tracer = TRACING["Tracer"]()
+            tracer.install(TRACING["daylux_modules"]())
+            try:
+                run_simulation(SimConfig(steps=steps, **wiring))
+            finally:
+                tracer.uninstall()
+            calls.append({name: row["calls"] for name, row in tracer.totals().items()})
+        assert [c["loop.loop_step"] for c in calls] == [50, 150], wiring
+        per_step = {name: (calls[1][name] - calls[0][name]) / 100 for name in pins}
+        assert per_step == pins, wiring

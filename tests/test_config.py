@@ -42,11 +42,32 @@ def test_validate_rejects_out_of_contract_fields():
         ("plant_delay", -1),
         ("daylight_source", "sinus:1"),
         ("lut_source", "poly:2"),
+        ("use_bias", "no"),  # a truthy string would run with biases on
+        ("use_bias", 0),
+        ("steps", 2.5),
+        ("steps", "3"),
+        ("steps", True),
+        ("seed_daylight", 1.5),
+        ("seed_controller", None),
+        ("e_desired", 100.0),
+        ("warmup", False),
+        ("gamma_controller", True),
+        ("gamma_inverse", "0.1"),
+        ("error_scaling", b"independent"),
+        ("daylight_source", None),
+        ("lut_source", 3),
+        ("out_dir", 3),
     ):
         cfg = SimConfig()
         setattr(cfg, field, value)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             cfg.validate()
+        named = str(err.value).split()[0].rstrip(":")
+        assert named in (field, field.removesuffix("_source")), (field, value, str(err.value))
+
+
+def test_validate_accepts_int_gammas_and_path_out_dirs(tmp_path):
+    SimConfig(gamma_controller=1, gamma_inverse=0.5, out_dir=tmp_path / "run").validate()
 
 
 def test_validate_checks_csv_paths_exist(tmp_path):
