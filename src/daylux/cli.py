@@ -18,6 +18,7 @@ import sys
 from dataclasses import fields
 
 from .config import (
+    ALLOWED,
     SYNTHETIC_LUT_SCHEMA,
     SimConfig,
     apply_settings,
@@ -43,6 +44,26 @@ from .tinynet import backprop_gradients, init_network, numeric_gradient
 
 GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_SCHEMA = {"seed": "int", "trials": "int"}
+# `simulate` flag help by SimConfig field; build_parser appends the allowed
+# values and the default.
+SIMULATE_HELP = {
+    "steps": "run length for generated daylight",
+    "e_desired": "setpoint illuminance, 0..255",
+    "gamma_controller": "controller learning rate",
+    "gamma_inverse": "inverse-model learning rate",
+    "seed_controller": "controller weight-init seed",
+    "seed_inverse": "inverse-model weight-init seed",
+    "seed_daylight": "daylight trajectory seed",
+    "lut_source": "plant table: synthetic[:e_max=..,shape=..,knots=..] or csv:PATH",
+    "daylight_source":
+        "disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH",
+    "warmup": "steps excluded from band metrics",
+    "error_scaling": "eps/deps normalization",
+    "inverse_target_lag": "inverse-model target is U(k-lag), lag",
+    "plant_delay": "steps between command and measured response",
+    "use_bias": "train both nets without bias terms",
+    "out_dir": "artifact directory",
+}
 
 
 class UsageError(ValueError):
@@ -60,41 +81,19 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run the closed-loop simulation")
     sim.add_argument("--config", help="key = value config file; flags take precedence")
-    sim.add_argument("--steps", help="run length for generated daylight (default 2000)")
-    sim.add_argument("--e-desired", help="setpoint illuminance, 0..255 (default 100)")
-    sim.add_argument("--gamma-controller", help="controller learning rate (default 0.15)")
-    sim.add_argument("--gamma-inverse", help="inverse-model learning rate (default 0.15)")
-    sim.add_argument("--seed-controller", help="controller weight-init seed")
-    sim.add_argument("--seed-inverse", help="inverse-model weight-init seed")
-    sim.add_argument("--seed-daylight", help="daylight trajectory seed")
-    sim.add_argument(
-        "--lut",
-        dest="lut_source",
-        metavar="LUT",
-        help="plant table: synthetic[:e_max=..,shape=..,knots=..] or csv:PATH",
-    )
-    sim.add_argument(
-        "--daylight",
-        dest="daylight_source",
-        metavar="DAYLIGHT",
-        help="disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH",
-    )
-    sim.add_argument("--warmup", help="steps excluded from band metrics (default 200)")
-    sim.add_argument("--error-scaling", help="eps/deps normalization: independent or shared255")
-    sim.add_argument(
-        "--inverse-target-lag", help="pair the inverse target with U(k) (0) or U(k-1) (1)"
-    )
-    sim.add_argument(
-        "--plant-delay", help="steps between command and measured response, 0 or 1 (default 1)"
-    )
-    sim.add_argument(
-        "--no-bias",
-        dest="use_bias",
-        action="store_const",
-        const="false",
-        help="train both nets without bias terms",
-    )
-    sim.add_argument("--out-dir", help="artifact directory (default out)")
+    # One flag per SimConfig field, dest = field name, no argparse default: an
+    # omitted flag leaves None, so parse_config can tell it from a given one.
+    for f in fields(SimConfig):
+        help_text = SIMULATE_HELP[f.name]
+        if f.name == "use_bias":
+            sim.add_argument("--no-bias", dest=f.name, action="store_const", const="false",
+                             help=help_text)
+            continue
+        if f.name in ALLOWED:
+            help_text += ": " + " or ".join(map(str, ALLOWED[f.name]))
+        name = f.name.removesuffix("_source")
+        sim.add_argument("--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(),
+                         help=f"{help_text} (default {f.default})")
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     grad.add_argument("--seed", default="0", help="sampling seed (default 0)")
@@ -119,9 +118,7 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     cfg = SimConfig()
     if ns.config:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
-    # Every SimConfig field has a flag whose dest is the field name; an
-    # omitted flag leaves None in the namespace.  Given flags are strings and
-    # go through the same converter as config-file keys.
+    # Given flags are strings and go through the same converter as config-file keys.
     flags = {f.name: v for f in fields(SimConfig) if (v := getattr(ns, f.name)) is not None}
     apply_settings(cfg, flags, "command line")
     cfg.validate()
@@ -148,8 +145,7 @@ def cmd_simulate(cfg: SimConfig) -> int:
     for p in artifacts["panels"] + artifacts["svgs"]:
         print(f"wrote {p}")
     print(f"wrote {artifacts['summary']}")
-    with open(artifacts["summary"], "r", encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(artifacts["summary_text"])
     return 0
 
 

@@ -135,10 +135,9 @@ def synth_default_lut(
 
 @dataclass(frozen=True)
 class DaylightTrajectory:
-    """Per-step daylight illuminance plus a tag saying where it came from."""
+    """Per-step daylight illuminance."""
 
     samples: tuple[int, ...]
-    provenance: str = "constant"
 
     def __post_init__(self) -> None:
         for k, s in enumerate(self.samples):
@@ -149,9 +148,6 @@ class DaylightTrajectory:
                 # for every sample cost milliseconds on long trajectories
                 msg = str(exc).replace("daylight sample", f"daylight sample at k={k}", 1)
                 raise ValueError(msg) from None
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTrajectory:
@@ -172,7 +168,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
         raise ValueError(f"unexpected parameter(s) for daylight kind {kind!r}: {', '.join(extras)}")
     if kind == "constant":
         level = check_d8bv(params.get("level", 30), "level")
-        return DaylightTrajectory((level,) * length, "constant")
+        return DaylightTrajectory((level,) * length)
     if kind == "fast":
         return _gen_fast_changes(length, seed, **params)
     c0 = check_d8bv(params.get("level0", 0), "level0")
@@ -184,13 +180,13 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
         samples = tuple(c0 if k < k_switch else c1 for k in range(length))
-        return DaylightTrajectory(samples, "step")
+        return DaylightTrajectory(samples)
     if length == 1:
-        return DaylightTrajectory((c0,), "ramp")
+        return DaylightTrajectory((c0,))
     samples = tuple(
         round_half_away(c0 + (c1 - c0) * k / (length - 1)) for k in range(length)
     )
-    return DaylightTrajectory(samples, "ramp")
+    return DaylightTrajectory(samples)
 
 
 def _gen_fast_changes(
@@ -235,14 +231,14 @@ def _gen_fast_changes(
         elif level > hi:
             level = float(hi)
         samples.append(round_half_away(level))
-    return DaylightTrajectory(tuple(samples), f"fast(seed={seed})")
+    return DaylightTrajectory(tuple(samples))
 
 
 def load_lut_csv(path) -> ProcessLut:
     """Read a `u,e` table; validation failures name the 1-based line."""
     rows = _read_csv_rows(path, header=("u", "e"))
     knots = []
-    prev_u = -1
+    prev_u = prev_e = -1
     for lineno, cells in rows:
         u = _int_cell(path, lineno, cells, 0, "u")
         e = _int_cell(path, lineno, cells, 1, "e")
@@ -252,7 +248,9 @@ def load_lut_csv(path) -> ProcessLut:
             raise TableFormatError(f"{path}: e out of [0, 255] at line {lineno}")
         if u <= prev_u:
             raise TableFormatError(f"{path}: non-increasing u at line {lineno}")
-        prev_u = u
+        if e < prev_e:
+            raise TableFormatError(f"{path}: decreasing e ({e} after {prev_e}) at line {lineno}")
+        prev_u, prev_e = u, e
         knots.append((u, e))
     try:
         return ProcessLut(tuple(knots))
@@ -283,7 +281,7 @@ def load_daylight_csv(path) -> DaylightTrajectory:
             raise TableFormatError(f"{path}: e out of [0, 255] at line {lineno}")
         samples.append(e)
         expect_k += 1
-    return DaylightTrajectory(tuple(samples), f"csv({path})")
+    return DaylightTrajectory(tuple(samples))
 
 
 def save_daylight_csv(traj: DaylightTrajectory, path) -> None:

@@ -129,7 +129,7 @@ def summary_text(records, report: BandReport) -> str:
 
 
 def write_run_artifacts(records, warmup_steps: int, out_dir) -> dict[str, object]:
-    """Write every artifact of a run into out_dir; returns paths and report."""
+    """Write every artifact of a run into out_dir; returns paths, report and summary text."""
     os.makedirs(out_dir, exist_ok=True)
     traj = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(records, traj)
@@ -137,12 +137,14 @@ def write_run_artifacts(records, warmup_steps: int, out_dir) -> dict[str, object
     svgs = write_panel_svgs(records, out_dir)
     report = band_report(records, warmup_steps)
     summary = os.path.join(out_dir, "summary.txt")
+    text = summary_text(records, report)
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(summary_text(records, report))
+        fh.write(text)
     return {
         "trajectory": traj,
         "panels": panels,
         "svgs": svgs,
         "summary": summary,
+        "summary_text": text,
         "report": report,
     }

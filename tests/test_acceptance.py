@@ -10,7 +10,7 @@ the shipped dynamics genuinely do not reach the stated band.
 import time
 
 from daylux.cli import gradcheck_max_rel_error
-from daylux.config import DEFAULT_SEED_INVERSE, SimConfig
+from daylux.config import SimConfig
 from daylux.loop import INVERSE_INPUTS, inverse_action, run_simulation, train_inverse
 from daylux.metrics import band_report
 from daylux.plant import lut_eval, lut_inverse, synth_default_lut
@@ -54,7 +54,7 @@ def test_a2_quantization_bijection():
 
 def test_a3_inverse_model_identifiability():
     lut = synth_default_lut()
-    inv = init_network(INVERSE_INPUTS, seed=DEFAULT_SEED_INVERSE)
+    inv = init_network(INVERSE_INPUTS, seed=SimConfig().seed_inverse)
     sweep = SplitMix64(99)
     t0 = time.perf_counter()
     for _ in range(5000):

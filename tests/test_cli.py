@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import re
 from dataclasses import fields
 
@@ -7,7 +8,7 @@ import pytest
 
 import daylux.cli as cli_mod
 from daylux.cli import build_parser, main, parse_config
-from daylux.config import SimConfig
+from daylux.config import ConfigError, SimConfig, apply_settings
 from daylux.plant import load_lut_csv
 from daylux.report import TRAJECTORY_HEADER
 
@@ -25,6 +26,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert f"wrote {out}/trajectory.csv (40 rows)" in stdout
     assert "steps: 40 total" in stdout
+    assert stdout.encode().endswith((out / "summary.txt").read_bytes())
     for name in (
         "trajectory.csv", "summary.txt",
         "panel_illuminance.csv", "panel_error.csv", "panel_command.csv",
@@ -239,6 +241,40 @@ def test_omitted_flags_keep_every_config_file_value(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("".join(f"{f.name} = {getattr(want, f.name)}\n" for f in fields(want)))
     assert parse_config(build_parser().parse_args(["simulate", "--config", str(cfg_file)])) == want
+
+
+def test_simulate_flags_come_from_the_config_fields():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices["simulate"]._actions
+    for f in fields(SimConfig):
+        (action,) = [a for a in actions if a.dest == f.name]
+        assert action.default is None  # an omitted flag leaves the config-file value
+        if f.name == "use_bias":
+            assert action.option_strings == ["--no-bias"] and action.const == "false"
+            continue
+        suffix = f" (default {f.default})"
+        assert action.help.endswith(suffix), action.help
+        if f.name not in ("error_scaling", "inverse_target_lag", "plant_delay"):
+            continue
+        # The values the help lists are exactly the ones validate accepts.
+        listed = action.help.split(": ")[-1].removesuffix(suffix).split(" or ")
+        for value in listed:
+            cfg = SimConfig()
+            apply_settings(cfg, {f.name: value}, "test")
+            cfg.validate()
+        cfg = SimConfig()
+        apply_settings(cfg, {f.name: "9" if f.type == "int" else "x"}, "test")
+        with pytest.raises(ConfigError, match=rf"^{f.name} must be {' or '.join(listed)}, got "):
+            cfg.validate()
+
+
+@pytest.mark.parametrize("argv", ["lut inspect {lut}", "simulate --lut csv:{lut} --out-dir {out}"])
+def test_decreasing_lut_csv_exits_1_naming_the_line(tmp_path, capsys, argv):
+    lut = tmp_path / "dec.csv"
+    lut.write_text("u,e\n0,0\n100,90\n200,80\n255,180\n")
+    assert main([a.format(lut=lut, out=tmp_path / "o") for a in argv.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {lut}: decreasing e (80 after 90) at line 4\n")
 
 
 @pytest.mark.parametrize("header, argv", [

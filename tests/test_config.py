@@ -138,9 +138,9 @@ def test_build_lut_passes_parameters():
 
 def test_build_daylight_generated_length_follows_steps():
     cfg = SimConfig(steps=77, daylight_source="constant:30")
-    assert len(build_daylight(cfg)) == 77
+    assert len(build_daylight(cfg).samples) == 77
     cfg = SimConfig(steps=50, daylight_source="fast")
-    assert len(build_daylight(cfg)) == 50
+    assert len(build_daylight(cfg).samples) == 50
 
 
 def test_build_daylight_csv_brings_its_own_length(tmp_path):
@@ -175,6 +175,14 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
     path.write_text("= 5\n")
     with pytest.raises(ConfigError):
         load_config_file(path)
+
+
+def test_load_config_file_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("steps = 5\n# again\nwarmup = 1\nsteps = 7\n")
+    with pytest.raises(ConfigError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}: 'steps' set twice, at lines 1 and 4"
 
 
 def test_non_utf8_config_file_names_path_and_line(tmp_path):

@@ -194,9 +194,7 @@ def test_inverse_action_is_quantised():
 
 def test_empty_trajectory_yields_empty_stream():
     ctl, inv = zero_pair()
-    recs = run_loop(
-        synth_default_lut(), DaylightTrajectory((), "empty"), ctl, inv, 100
-    )
+    recs = run_loop(synth_default_lut(), DaylightTrajectory(()), ctl, inv, 100)
     assert recs == []
 
 

@@ -98,7 +98,6 @@ def test_synth_lut_validation():
 def test_gen_constant():
     traj = gen_daylight("constant", 4, level=30)
     assert traj.samples == (30, 30, 30, 30)
-    assert traj.provenance == "constant"
 
 
 def test_gen_step():
@@ -115,7 +114,6 @@ def test_gen_ramp():
 def test_gen_fast_frozen_prefix():
     traj = gen_daylight("fast", 12, seed=2)
     assert traj.samples == (40, 40, 40, 40, 40, 40, 41, 41, 41, 41, 41, 41)
-    assert traj.provenance == "fast(seed=2)"
 
 
 def test_gen_fast_deterministic_and_seed_sensitive():
@@ -169,10 +167,10 @@ def test_gen_daylight_validation():
 
 def test_daylight_trajectory_validates_samples():
     with pytest.raises(ValueError, match=r"^daylight sample at k=1 must be in \[0, 255\], got 500$"):
-        DaylightTrajectory((0, 500), "constant")
+        DaylightTrajectory((0, 500))
     with pytest.raises(ValueError, match=r"^daylight sample at k=2 must be an int, got float$"):
-        DaylightTrajectory((0, 1, 2.0, 300), "constant")
-    assert len(DaylightTrajectory((), "empty")) == 0
+        DaylightTrajectory((0, 1, 2.0, 300))
+    assert DaylightTrajectory(()).samples == ()
 
 
 def test_lut_csv_round_trip(tmp_path):
@@ -189,6 +187,11 @@ def test_lut_csv_errors_name_the_line(tmp_path):
     with pytest.raises(TableFormatError) as err:
         load_lut_csv(path)
     assert "line 3" in str(err.value) and "bad.csv" in str(err.value)
+
+    path.write_text("u,e\n0,0\n100,90\n200,80\n255,180\n")
+    with pytest.raises(TableFormatError) as err:
+        load_lut_csv(path)
+    assert str(err.value) == f"{path}: decreasing e (80 after 90) at line 4"
 
     path.write_text("u,volts\n0,0\n")
     with pytest.raises(TableFormatError) as err:

@@ -75,7 +75,9 @@ def test_summary_text_structure():
 def test_write_run_artifacts_creates_everything(tmp_path):
     out = tmp_path / "nested" / "run"
     arts = write_run_artifacts(sample_records(20), 5, out)
-    assert sorted(arts) == ["panels", "report", "summary", "svgs", "trajectory"]
+    assert sorted(arts) == ["panels", "report", "summary", "summary_text", "svgs", "trajectory"]
+    with open(arts["summary"], encoding="utf-8") as fh:
+        assert fh.read() == arts["summary_text"]
     for p in [arts["trajectory"], arts["summary"], *arts["panels"], *arts["svgs"]]:
         assert str(p).startswith(str(out))
         with open(p, "rb") as fh:
