@@ -70,7 +70,22 @@ class UsageError(ValueError):
     """Bad flags or arguments; maps to exit code 1."""
 
 
+class _SetOnce(argparse.Action):
+    """Store a flag's value, or its const if it takes none; a repeated flag is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _SetOnce)  # the action of every plain flag
+
     def error(self, message):  # keep exit-code control in main()
         raise UsageError(message)
 
@@ -86,8 +101,7 @@ def build_parser() -> _Parser:
     for f in fields(SimConfig):
         help_text = SIMULATE_HELP[f.name]
         if f.name == "use_bias":
-            sim.add_argument("--no-bias", dest=f.name, action="store_const", const="false",
-                             help=help_text)
+            sim.add_argument("--no-bias", dest=f.name, nargs=0, const="false", help=help_text)
             continue
         if f.name in ALLOWED:
             help_text += ": " + " or ".join(map(str, ALLOWED[f.name]))

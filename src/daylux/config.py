@@ -72,9 +72,11 @@ class SimConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, got {value!r}")
+        if self.out_dir == "":
+            raise ConfigError("out_dir must not be empty")
         for key, spec in (("lut", self.lut_source), ("daylight", self.daylight_source)):
             try:
-                kind, params = parse_lut_spec(spec) if key == "lut" else parse_daylight_spec(spec)
+                kind, params = parse_source(key, spec)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
             if kind == "csv" and not os.path.isfile(params["path"]):
@@ -86,43 +88,37 @@ class SimConfig:
 SYNTHETIC_LUT_SCHEMA = {"e_max": "int", "shape": "float", "knots": "int"}
 
 
-def parse_lut_spec(spec: str):
-    """Split a LUT source spec into (kind, params)."""
-    kind, _, rest = spec.partition(":")
-    kind = kind.strip()
-    if kind == "synthetic":
-        return "synthetic", _parse_kv(rest, kind, SYNTHETIC_LUT_SCHEMA)
-    if kind == "csv":
-        if not rest:
-            raise ValueError("csv source needs a path, e.g. csv:table.csv")
-        return "csv", {"path": rest}
-    raise ValueError(f"unknown LUT source {kind!r} (expected synthetic or csv)")
+# The generated kinds of each source spec, with their parameter schemas; every
+# spec may also be `csv:PATH`.
+SOURCES = {"lut": {"synthetic": SYNTHETIC_LUT_SCHEMA}, "daylight": plant.DAYLIGHT_PARAMS}
+# Kinds whose parameters all have defaults and are given as key=value; the
+# other kinds take every parameter, by position.
+KEYWORD_KINDS = ("synthetic", "fast")
 
 
-def parse_daylight_spec(spec: str):
-    """Split a daylight source spec into (kind, params)."""
+def parse_source(key: str, spec: str):
+    """Split a `lut` or `daylight` source spec into (kind, params)."""
+    kinds = SOURCES[key]
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind in plant.DAYLIGHT_PARAMS:
-        schema = plant.DAYLIGHT_PARAMS[kind]
-        if kind == "fast":
-            return kind, _parse_kv(rest, kind, schema)
-        parts = rest.split(",") if rest else []
-        if len(parts) != len(schema):
-            plural = "s" if len(schema) > 1 else ""
-            raise ValueError(f"{kind} needs {len(schema)} value{plural}: {kind}:{','.join(schema)}")
-        return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(schema, parts)}
     if kind == "csv":
         if not rest:
-            raise ValueError("csv source needs a path, e.g. csv:daylight.csv")
+            raise ValueError(f"csv source needs a path, e.g. csv:{key}.csv")
         return "csv", {"path": rest}
-    raise ValueError(
-        f"unknown daylight source {kind!r} (expected constant, step, ramp, fast or csv)"
-    )
+    if kind not in kinds:
+        raise ValueError(f"unknown {key} source {kind!r} (expected {', '.join(kinds)} or csv)")
+    schema = kinds[kind]
+    if kind in KEYWORD_KINDS:
+        return kind, _parse_kv(rest, kind, schema)
+    parts = rest.split(",") if rest else []
+    if len(parts) != len(schema):
+        plural = "s" if len(schema) > 1 else ""
+        raise ValueError(f"{kind} needs {len(schema)} value{plural}: {kind}:{','.join(schema)}")
+    return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(schema, parts)}
 
 
 def build_lut(cfg: SimConfig) -> plant.ProcessLut:
-    kind, params = parse_lut_spec(cfg.lut_source)
+    kind, params = parse_source("lut", cfg.lut_source)
     if kind == "csv":
         return plant.load_lut_csv(params["path"])
     try:
@@ -141,7 +137,7 @@ def synthetic_lut(params: dict) -> plant.ProcessLut:
 
 
 def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
-    kind, params = parse_daylight_spec(cfg.daylight_source)
+    kind, params = parse_source("daylight", cfg.daylight_source)
     if kind == "csv":
         return plant.load_daylight_csv(params["path"])
     try:
@@ -240,5 +236,7 @@ def _parse_kv(rest: str, origin: str, schema: dict[str, str]) -> dict:
             raise ValueError(f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
+        if key in params:
+            raise ValueError(f"{origin}: {key!r} set twice")
         params[key] = convert(key, value.strip(), schema, origin)
     return params

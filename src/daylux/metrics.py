@@ -34,21 +34,6 @@ class BandReport:
     rms_eps: float
     valid: bool
 
-    def as_kv_block(self) -> str:
-        """Machine-readable summary, one key=value per line."""
-        lines = [
-            f"warmup_steps={self.warmup_steps}",
-            f"n_steady={self.n_steady}",
-            f"eps_min={self.eps_min}",
-            f"eps_max={self.eps_max}",
-            f"frac_in_wide={self.frac_in_wide:.9g}",
-            f"frac_in_narrow={self.frac_in_narrow:.9g}",
-            f"frac_meas_in_perception={self.frac_meas_in_perception:.9g}",
-            f"rms_eps={self.rms_eps:.9g}",
-            f"valid={1 if self.valid else 0}",
-        ]
-        return "\n".join(lines)
-
 
 def band_report(records, warmup_steps: int) -> BandReport:
     """Band statistics over records with k >= warmup_steps.

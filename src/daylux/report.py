@@ -23,6 +23,12 @@ TRAJECTORY_HEADER = (
     "loss_inverse,loss_controller"
 )
 
+# The BandReport fields of summary.txt's key=value block, in file order.
+SUMMARY_KEYS = (
+    "warmup_steps", "n_steady", "eps_min", "eps_max", "frac_in_wide", "frac_in_narrow",
+    "frac_meas_in_perception", "rms_eps", "valid",
+)
+
 
 def format_real(x: float) -> str:
     s = f"{x:.9g}"
@@ -123,8 +129,10 @@ def summary_text(records, report: BandReport) -> str:
     else:
         lines.append("no steady-state steps after warmup; band statistics not meaningful")
     lines.append("")
-    lines.append(report.as_kv_block())
-    lines.append(f"extreme_shell_frac={shell:.9g}")
+    for key in SUMMARY_KEYS:
+        value = getattr(report, key)  # ints bare, reals via format_real, valid as 1 or 0
+        lines.append(f"{key}={format_real(value) if isinstance(value, float) else int(value)}")
+    lines.append(f"extreme_shell_frac={format_real(shell)}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,9 +13,9 @@ from daylux.plant import load_lut_csv
 from daylux.report import TRAJECTORY_HEADER
 
 
-def run_simulate(tmp_path, *extra):
+def run_simulate(tmp_path, *extra, steps=40):
     out = tmp_path / "out"
-    code = main(["simulate", "--steps", "40", "--daylight", "constant:30",
+    code = main(["simulate", "--steps", str(steps), "--daylight", "constant:30",
                  "--out-dir", str(out), *extra])
     return code, out
 
@@ -100,7 +100,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
 
 
 def test_diverging_run_exits_1_with_one_error_line(tmp_path, capsys):
-    code, out = run_simulate(tmp_path, "--steps", "200", "--gamma-controller", "50")
+    code, out = run_simulate(tmp_path, "--gamma-controller", "50", steps=200)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: controller diverged at step k=69: ")
@@ -319,10 +319,27 @@ def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("simulate --steps 5 --steps 7 --daylight constant:30 --out-dir {out}",
+     "argument --steps: given twice"),
+    ("lut generate --knots 8 --out {out} --knots 16", "argument --knots: given twice"),
+    ("gradcheck --trials 2 --seed 1 --trials 3", "argument --trials: given twice"),
+    ("simulate --steps 5 --daylight fast:base=10,base=90 --out-dir {out}",
+     "daylight: fast: 'base' set twice"),
+])
+def test_a_repeated_flag_or_spec_key_exits_1_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([a.format(out=out) for a in argv.split()]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 # A bad value for every field that takes one on the command line, as typed
-# after its flag and as a config-file key.  out_dir is absent: every string
-# is a valid directory name until the run writes to it.
+# after its flag and as a config-file key.  out_dir's only bad value is the
+# empty one: every other string is a valid directory name until the run
+# writes to it.
 BAD_VALUES = [(f.name, "x") for f in fields(SimConfig) if f.type in ("int", "float")] + [
+    ("out_dir", ""),
     ("error_scaling", "percent"),
     ("lut_source", "poly:2"),
     ("daylight_source", "sinus:1"),

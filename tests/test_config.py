@@ -3,14 +3,14 @@
 import pytest
 
 from daylux.config import (
+    KEYWORD_KINDS,
     ConfigError,
     SimConfig,
     apply_settings,
     build_daylight,
     build_lut,
     load_config_file,
-    parse_daylight_spec,
-    parse_lut_spec,
+    parse_source,
 )
 from daylux.plant import DAYLIGHT_PARAMS
 
@@ -57,6 +57,7 @@ def test_validate_rejects_out_of_contract_fields():
         ("daylight_source", None),
         ("lut_source", 3),
         ("out_dir", 3),
+        ("out_dir", ""),
     ):
         cfg = SimConfig()
         setattr(cfg, field, value)
@@ -77,55 +78,57 @@ def test_validate_checks_csv_paths_exist(tmp_path):
     assert "file not found" in str(err.value)
 
 
-def test_parse_lut_spec():
-    assert parse_lut_spec("synthetic") == ("synthetic", {})
-    assert parse_lut_spec("synthetic:e_max=150,shape=2.0,knots=16") == (
-        "synthetic", {"e_max": 150, "shape": 2.0, "knots": 16}
-    )
-    assert parse_lut_spec("csv:tables/a.csv") == ("csv", {"path": "tables/a.csv"})
-    with pytest.raises(ValueError):
-        parse_lut_spec("csv:")
-    with pytest.raises(ValueError):
-        parse_lut_spec("poly:3")
-    with pytest.raises(ValueError):
-        parse_lut_spec("synthetic:knots=abc")
+def test_parse_source_reads_each_kind():
+    for key, spec, parsed in (
+        ("lut", "synthetic", ("synthetic", {})),
+        ("lut", "synthetic:e_max=150,shape=2.0,knots=16",
+         ("synthetic", {"e_max": 150, "shape": 2.0, "knots": 16})),
+        ("lut", "csv:tables/a.csv", ("csv", {"path": "tables/a.csv"})),
+        ("daylight", "constant:30", ("constant", {"level": 30})),
+        ("daylight", "step:0,100,50", ("step", {"level0": 0, "level1": 100, "k_switch": 50})),
+        ("daylight", "ramp:10,200", ("ramp", {"level0": 10, "level1": 200})),
+        ("daylight", "fast", ("fast", {})),
+        ("daylight", "fast:base=50,step_prob=0.1", ("fast", {"base": 50, "step_prob": 0.1})),
+        ("daylight", "csv:day.csv", ("csv", {"path": "day.csv"})),
+    ):
+        assert parse_source(key, spec) == parsed, (key, spec)
 
 
-def test_parse_daylight_spec():
-    assert parse_daylight_spec("constant:30") == ("constant", {"level": 30})
-    assert parse_daylight_spec("step:0,100,50") == (
-        "step", {"level0": 0, "level1": 100, "k_switch": 50}
-    )
-    assert parse_daylight_spec("ramp:10,200") == ("ramp", {"level0": 10, "level1": 200})
-    assert parse_daylight_spec("fast") == ("fast", {})
-    assert parse_daylight_spec("fast:base=50,step_prob=0.1") == (
-        "fast", {"base": 50, "step_prob": 0.1}
-    )
-    assert parse_daylight_spec("csv:day.csv") == ("csv", {"path": "day.csv"})
-    for bad in ("constant", "step:1,2", "ramp:5", "wave:3", "csv:", "fast:speed=2"):
-        with pytest.raises(ValueError):
-            parse_daylight_spec(bad)
-    for bad, message in (
-        ("constant:1,2", "constant needs 1 value: constant:level"),
-        ("step:1,2,3,4", "step needs 3 values: step:level0,level1,k_switch"),
-        ("ramp:0,x", "ramp: bad value for 'level1': 'x' (expected int)"),
-        ("fast:base=4.5", "fast: bad value for 'base': '4.5' (expected int)"),
-        ("fast:base=1,gust=2", "fast: unknown key 'gust' (expected one of "
-                               "['amplitude', 'base', 'max_jump', 'step_prob'])"),
+def test_parse_source_rejects_bad_specs():
+    for key, spec, message in (
+        ("lut", "csv:", "csv source needs a path, e.g. csv:lut.csv"),
+        ("lut", "poly:3", "unknown lut source 'poly' (expected synthetic or csv)"),
+        ("lut", "synthetic:knots=abc", "synthetic: bad value for 'knots': 'abc' (expected int)"),
+        ("lut", "synthetic:knots=8,knots=64", "synthetic: 'knots' set twice"),
+        ("daylight", "constant", "constant needs 1 value: constant:level"),
+        ("daylight", "constant:1,2", "constant needs 1 value: constant:level"),
+        ("daylight", "step:1,2", "step needs 3 values: step:level0,level1,k_switch"),
+        ("daylight", "step:1,2,3,4", "step needs 3 values: step:level0,level1,k_switch"),
+        ("daylight", "ramp:5", "ramp needs 2 values: ramp:level0,level1"),
+        ("daylight", "ramp:0,x", "ramp: bad value for 'level1': 'x' (expected int)"),
+        ("daylight", "wave:3",
+         "unknown daylight source 'wave' (expected constant, step, ramp, fast or csv)"),
+        ("daylight", "csv:", "csv source needs a path, e.g. csv:daylight.csv"),
+        ("daylight", "fast:base=4.5", "fast: bad value for 'base': '4.5' (expected int)"),
+        ("daylight", "fast:speed=2", "fast: unknown key 'speed' (expected one of "
+                                     "['amplitude', 'base', 'max_jump', 'step_prob'])"),
+        ("daylight", "fast:base=1,gust=2", "fast: unknown key 'gust' (expected one of "
+                                           "['amplitude', 'base', 'max_jump', 'step_prob'])"),
+        ("daylight", "fast:base=10,base=90", "fast: 'base' set twice"),
     ):
         with pytest.raises(ValueError) as err:
-            parse_daylight_spec(bad)
-        assert str(err.value) == message
+            parse_source(key, spec)
+        assert str(err.value) == message, (key, spec)
 
 
 def test_positional_daylight_specs_follow_the_plant_parameter_order():
     for kind, schema in DAYLIGHT_PARAMS.items():
-        if kind == "fast":  # given as key=value, not by position
+        if kind in KEYWORD_KINDS:  # given as key=value, not by position
             continue
-        _, params = parse_daylight_spec(f"{kind}:" + ",".join(["7"] * len(schema)))
+        _, params = parse_source("daylight", f"{kind}:" + ",".join(["7"] * len(schema)))
         assert list(params) == list(schema)
         with pytest.raises(ValueError) as err:
-            parse_daylight_spec(f"{kind}:" + ",".join(["7"] * (len(schema) + 1)))
+            parse_source("daylight", f"{kind}:" + ",".join(["7"] * (len(schema) + 1)))
         assert str(err.value).endswith(f": {kind}:{','.join(schema)}")
 
 

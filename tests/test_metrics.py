@@ -10,6 +10,7 @@ from daylux.metrics import (
     band_report,
     extreme_rarity,
 )
+from daylux.report import summary_text
 
 
 def rec(k, eps, e_measured=100):
@@ -131,7 +132,7 @@ def test_shell_plus_narrow_equals_wide():
 
 def test_kv_block_format():
     recs = [rec(k, 0) for k in range(10)]
-    block = band_report(recs, 2).as_kv_block()
+    block = summary_text(recs, band_report(recs, 2)).split("\n\n")[1]
     assert block.splitlines() == [
         "warmup_steps=2",
         "n_steady=8",
@@ -142,4 +143,7 @@ def test_kv_block_format():
         "frac_meas_in_perception=1",
         "rms_eps=0",
         "valid=1",
+        "extreme_shell_frac=0",
     ]
+    nothing_steady = summary_text(recs, band_report(recs, 20)).split("\n\n")[1]
+    assert nothing_steady.splitlines()[-3:] == ["rms_eps=0", "valid=0", "extreme_shell_frac=0"]
