@@ -81,6 +81,13 @@ class _SetOnce(argparse.Action):
         setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
 
 
+def _path(value: str) -> str:
+    """A path argument: any string but the empty one, which names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -95,7 +102,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the closed-loop simulation")
-    sim.add_argument("--config", help="key = value config file; flags take precedence")
+    sim.add_argument("--config", type=_path, help="key = value config file; flags take precedence")
     # One flag per SimConfig field, dest = field name, no argparse default: an
     # omitted flag leaves None, so parse_config can tell it from a given one.
     for f in fields(SimConfig):
@@ -116,12 +123,13 @@ def build_parser() -> _Parser:
     lut = sub.add_parser("lut", help="generate or inspect plant tables")
     lut_sub = lut.add_subparsers(dest="lut_command", required=True)
     gen = lut_sub.add_parser("generate", help="write a synthetic table CSV")
-    gen.add_argument("--out", default="lut.csv", help="output path (default lut.csv)")
+    gen.add_argument("--out", type=_path, default="lut.csv", help="output path (default lut.csv)")
     gen.add_argument("--e-max", help=f"illuminance at u=255 (default {DEFAULT_LUT_E_MAX})")
     gen.add_argument("--shape", help=f"power-law exponent (default {DEFAULT_LUT_SHAPE})")
     gen.add_argument("--knots", help=f"number of knots (default {DEFAULT_LUT_KNOTS})")
     ins = lut_sub.add_parser("inspect", help="print knots, monotonicity, inverse lookups")
-    ins.add_argument("path", nargs="?", help="table CSV; omitted = default synthetic table")
+    ins.add_argument("path", nargs="?", type=_path,
+                     help="table CSV; omitted = default synthetic table")
     ins.add_argument("--query-e", help="print the brute-force inverse u* for this e")
 
     return parser
@@ -130,7 +138,7 @@ def build_parser() -> _Parser:
 def parse_config(ns: argparse.Namespace) -> SimConfig:
     """SimConfig from defaults, then config file, then explicit flags."""
     cfg = SimConfig()
-    if ns.config:
+    if ns.config is not None:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
     # Given flags are strings and go through the same converter as config-file keys.
     flags = {f.name: v for f in fields(SimConfig) if (v := getattr(ns, f.name)) is not None}
@@ -207,8 +215,8 @@ def cmd_lut(ns: argparse.Namespace) -> int:
     query_e = typed_flags(ns, {"query_e": "int"}).get("query_e")
     if query_e is not None:
         check_d8bv(query_e, "query_e")
-    table = load_lut_csv(ns.path) if ns.path else synth_default_lut()
-    source = ns.path if ns.path else "synthetic defaults"
+    table = synth_default_lut() if ns.path is None else load_lut_csv(ns.path)
+    source = "synthetic defaults" if ns.path is None else ns.path
     print(f"table: {source}")
     print("  u    e")
     for u, e in table.knots:

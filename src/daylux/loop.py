@@ -4,7 +4,7 @@ Two small networks run side by side.  The controller (2-3-1) maps the scaled
 control error and its first difference to the lamp command U.  The inverse
 model (3-3-1) learns, online, the map from three consecutive measured
 illuminances back to the command that the controller issued alongside them;
-querying it with the *desired* illuminance triple then yields U_IM, the
+querying it with the setpoint taken three times then yields U_IM, the
 command it believes would realise the setpoint, and U_IM is the controller's
 training target.  Neither network ever sees the plant's equations.
 
@@ -15,7 +15,8 @@ Step ordering (one-step actuation delay, the default):
   (b) eps = E_desired - E_measured, deps = eps - eps_prev (exact integers);
   (c) the controller issues U from (eps, deps);
   (d) the inverse model trains on the measured triple -> command pairing;
-  (e) the freshly updated inverse model produces U_IM from the desired triple;
+  (e) the freshly updated inverse model produces U_IM from the constant
+      setpoint triple (E_desired, E_desired, E_desired);
   (f) the controller trains on (eps_prev, deps_prev) -> U_IM, skipped at k=0
       where no previous error exists;
   (g) histories shift, k advances.
@@ -81,14 +82,13 @@ class DivergenceError(ValueError):
 class LoopState:
     """Every lagged signal the training rules need.
 
-    Histories are newest-first and are filled with the first observed values
-    during step 0 (no fictitious zero transient); from then on they always
-    hold exactly 3 entries.
+    The measured history is newest-first and is filled with the first
+    measurement during step 0 (no fictitious zero transient); from then on it
+    always holds exactly 3 entries.
     """
 
     k: int = 0
     e_measured_hist: list[int] = field(default_factory=list)
-    e_desired_hist: list[int] = field(default_factory=list)
     eps_prev: int = 0
     deps_prev: int = 0
     u_prev: int = 0
@@ -195,25 +195,22 @@ def loop_step(
     ctl: TinyNet,
     inv: TinyNet,
     lut: ProcessLut,
-    e_desired_k: int,
     e_daylight_k: int,
-    cfg: SimConfig | None = None,
+    cfg: SimConfig,
 ):
     """Advance the closed loop one step; returns (state, StepRecord).
 
     The state object is updated in place and returned as the new state.
-    Only cfg's wiring switches are read; it must have passed validate(),
-    and None means the SimConfig defaults.
+    Only cfg's setpoint and wiring switches are read; it must have passed
+    validate().
     """
-    if cfg is None:
-        cfg = SimConfig()
-    check_d8bv(e_desired_k, "e_desired_k")
+    e_desired = check_d8bv(cfg.e_desired, "e_desired")
     check_d8bv(e_daylight_k, "e_daylight_k")
 
     if cfg.plant_delay == 1:
         e_electric = lut_eval(lut, state.u_prev)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = _ERROR_INTS[e_desired_k - e_measured]
+        eps = _ERROR_INTS[e_desired - e_measured]
         deps = eps - state.eps_prev
         u = controller_action(ctl, eps, deps, cfg.error_scaling)
     else:
@@ -222,17 +219,21 @@ def loop_step(
         u = controller_action(ctl, state.eps_prev, state.deps_prev, cfg.error_scaling)
         e_electric = lut_eval(lut, u)
         e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = _ERROR_INTS[e_desired_k - e_measured]
+        eps = _ERROR_INTS[e_desired - e_measured]
         deps = eps - state.eps_prev
 
-    _push_hist(state.e_measured_hist, e_measured)
-    _push_hist(state.e_desired_hist, e_desired_k)
+    hist = state.e_measured_hist  # shifted in place, newest first
+    if hist:
+        hist[2] = hist[1]
+        hist[1] = hist[0]
+        hist[0] = e_measured
+    else:
+        hist[:] = (e_measured, e_measured, e_measured)
 
     u_target = u if cfg.inverse_target_lag == 0 else state.u_prev
-    loss_inverse = train_inverse(inv, state.e_measured_hist, u_target)
+    loss_inverse = train_inverse(inv, hist, u_target)
 
-    desired = state.e_desired_hist
-    u_im = inverse_action(inv, desired[0], desired[1], desired[2])
+    u_im = inverse_action(inv, e_desired, e_desired, e_desired)
 
     if state.k > 0:
         loss_controller = train_controller(
@@ -243,7 +244,7 @@ def loop_step(
 
     record = _StepRecordFill()  # retyped below; see _StepRecordFill
     record.k = state.k
-    record.e_desired = e_desired_k
+    record.e_desired = e_desired
     record.e_daylight = e_daylight_k
     record.e_electric = e_electric
     record.e_measured = e_measured
@@ -266,8 +267,7 @@ def run_loop(
     daylight: DaylightTrajectory,
     ctl: TinyNet,
     inv: TinyNet,
-    e_desired: int,
-    cfg: SimConfig | None = None,
+    cfg: SimConfig,
 ) -> list[StepRecord]:
     """Drive loop_step over a whole daylight trajectory.
 
@@ -278,7 +278,7 @@ def run_loop(
     records = []
     for sample in daylight.samples:
         try:
-            state, record = loop_step(state, ctl, inv, lut, e_desired, sample, cfg)
+            state, record = loop_step(state, ctl, inv, lut, sample, cfg)
         except DivergenceError as exc:
             raise DivergenceError(exc.net, state.k) from None
         records.append(record)
@@ -297,15 +297,5 @@ def run_simulation(cfg: SimConfig):
     daylight = config_mod.build_daylight(cfg)
     ctl = init_network(CONTROLLER_INPUTS, cfg.gamma_controller, cfg.seed_controller, cfg.use_bias)
     inv = init_network(INVERSE_INPUTS, cfg.gamma_inverse, cfg.seed_inverse, cfg.use_bias)
-    records = run_loop(lut, daylight, ctl, inv, cfg.e_desired, cfg)
+    records = run_loop(lut, daylight, ctl, inv, cfg)
     return records, (ctl, inv)
-
-
-def _push_hist(hist: list[int], value: int) -> None:
-    """Shift a newest-first 3-entry history in place; fill an empty one."""
-    if hist:
-        hist[2] = hist[1]
-        hist[1] = hist[0]
-        hist[0] = value
-    else:
-        hist[:] = (value, value, value)

@@ -8,6 +8,8 @@ library underneath.
 
 Conventions:
 
+* Inputs are a list or tuple of ints or floats, used as given: nothing is
+  copied or converted, and ``w * v`` takes an int as ``float()`` would.
 * Each neuron is a row ``[w_0, ..., w_{m-1}, bias]`` over its m inputs:
   ``TinyNet.w1`` holds the 3 hidden rows over the n inputs, ``TinyNet.w2``
   the output row over the 3 hidden activations.  Gradients use the same rows.
@@ -43,10 +45,6 @@ class TinyNet:
     w2: list[float]
     learning_rate: float
     use_bias: bool
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.w1[0]) - 1
 
 
 def tanh(x: float) -> float:
@@ -94,18 +92,17 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
     inlined; both are the exact expressions the conventions above describe,
     so the result is bit-identical to the generic row loop.
     """
-    x = list(map(float, inputs))
-    w1 = net.w1
-    if len(x) != len(w1[0]) - 1:
-        raise ValueError(f"expected {net.n_inputs} inputs, got {len(x)}")
-    r0, r1, r2 = w1
-    if len(x) == 2:
-        x0, x1 = x
+    r0, r1, r2 = net.w1
+    n = len(r0) - 1
+    if len(inputs) != n:
+        raise ValueError(f"expected {n} inputs, got {len(inputs)}")
+    if n == 2:
+        x0, x1 = inputs
         s0 = r0[2] + r0[0] * x0 + r0[1] * x1
         s1 = r1[2] + r1[0] * x0 + r1[1] * x1
         s2 = r2[2] + r2[0] * x0 + r2[1] * x1
     else:
-        x0, x1, x2 = x
+        x0, x1, x2 = inputs
         s0 = r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2
         s1 = r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2
         s2 = r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2
@@ -171,8 +168,7 @@ def train_step(net: TinyNet, inputs, target: float) -> float:
     row before any parameter changes, and the rows are then updated in place.
     """
     t = float(target)
-    x = list(map(float, inputs))
-    y, (h0, h1, h2) = forward(net, x)
+    y, (h0, h1, h2) = forward(net, inputs)
     d = y - t
     loss = 0.5 * (t - y) ** 2
     lr = net.learning_rate
@@ -181,15 +177,15 @@ def train_step(net: TinyNet, inputs, target: float) -> float:
     d0 = w2[0] * d * (1.0 - h0 * h0)
     d1 = w2[1] * d * (1.0 - h1 * h1)
     d2 = w2[2] * d * (1.0 - h2 * h2)
-    x0, x1 = x[0], x[1]
+    x0, x1 = inputs[0], inputs[1]
     r0[0] -= lr * (d0 * x0)
     r0[1] -= lr * (d0 * x1)
     r1[0] -= lr * (d1 * x0)
     r1[1] -= lr * (d1 * x1)
     r2[0] -= lr * (d2 * x0)
     r2[1] -= lr * (d2 * x1)
-    if len(x) == 3:
-        x2 = x[2]
+    if len(inputs) == 3:
+        x2 = inputs[2]
         r0[2] -= lr * (d0 * x2)
         r1[2] -= lr * (d1 * x2)
         r2[2] -= lr * (d2 * x2)

@@ -334,6 +334,19 @@ def test_a_repeated_flag_or_spec_key_exits_1_naming_it(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("simulate --config= --steps 3 --daylight constant:30 --out-dir {out}", "--config"),
+    ("lut generate --out=", "--out"),
+    ("lut inspect", "path"),
+])
+def test_an_empty_path_argument_exits_1_naming_it(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    args = [a.format(out=tmp_path / "o") for a in argv.split()]
+    assert main(args + [""] if name == "path" else args) == 1
+    assert capsys.readouterr() == ("", f"error: argument {name}: must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # A bad value for every field that takes one on the command line, as typed
 # after its flag and as a config-file key.  out_dir's only bad value is the
 # empty one: every other string is a valid directory name until the run

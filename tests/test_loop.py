@@ -44,7 +44,7 @@ def test_first_steps_from_blank_nets_frozen():
     ctl, inv = zero_pair()
     lut = synth_default_lut()
     day = gen_daylight("constant", 2, level=40)
-    recs = run_loop(lut, day, ctl, inv, 100)
+    recs = run_loop(lut, day, ctl, inv, SimConfig())
 
     r0 = recs[0]
     assert (r0.e_electric, r0.e_measured) == (0, 40)  # u_prev=0 -> dark lamps
@@ -99,7 +99,7 @@ def test_inverse_trains_before_it_is_queried(monkeypatch):
         lambda *a, **kw: (calls.append("inverse_action"), real_action(*a, **kw))[1],
     )
     ctl, inv = zero_pair()
-    loop_step(LoopState(), ctl, inv, synth_default_lut(), 100, 40)
+    loop_step(LoopState(), ctl, inv, synth_default_lut(), 40, SimConfig())
     assert calls == ["train_inverse", "inverse_action"]
 
 
@@ -112,9 +112,9 @@ def test_controller_training_skipped_only_at_step_zero(monkeypatch):
     )
     ctl, inv = zero_pair()
     state = LoopState()
-    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 100, 40)
+    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
     assert trained_at == []
-    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 100, 40)
+    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
     assert trained_at == [True]
 
 
@@ -194,7 +194,7 @@ def test_inverse_action_is_quantised():
 
 def test_empty_trajectory_yields_empty_stream():
     ctl, inv = zero_pair()
-    recs = run_loop(synth_default_lut(), DaylightTrajectory(()), ctl, inv, 100)
+    recs = run_loop(synth_default_lut(), DaylightTrajectory(()), ctl, inv, SimConfig())
     assert recs == []
 
 
@@ -297,17 +297,14 @@ def test_loop_state_histories_are_newest_first_triples(plant_delay):
     lut = synth_default_lut()
     cfg = SimConfig(plant_delay=plant_delay)
     state = LoopState()
-    measured, desired = [], []
-    for k, (e_desired, e_daylight) in enumerate([(100, 10), (90, 20), (80, 30), (70, 40)]):
-        state, r = loop_step(state, ctl, inv, lut, e_desired, e_daylight, cfg)
+    measured = []
+    for k, e_daylight in enumerate([10, 20, 30, 40]):
+        state, r = loop_step(state, ctl, inv, lut, e_daylight, cfg)
         measured.insert(0, r.e_measured)
-        desired.insert(0, e_desired)
         if k == 0:
             assert state.e_measured_hist == [r.e_measured] * 3
-            assert state.e_desired_hist == [e_desired] * 3
         else:
             assert state.e_measured_hist == (measured + measured[-1:] * 2)[:3]
-            assert state.e_desired_hist == (desired + desired[-1:] * 2)[:3]
     assert len(set(measured)) == 4  # distinct values, so any misorder shows
 
 
@@ -325,7 +322,7 @@ def test_divergence_names_the_step_and_the_net(net_name, bad):
     ctl, inv = init_network(CONTROLLER_INPUTS), init_network(INVERSE_INPUTS)
     (ctl if net_name == "controller" else inv).w2[-1] = bad
     with pytest.raises(DivergenceError) as info:
-        run_loop(synth_default_lut(), gen_daylight("constant", 5), ctl, inv, 100)
+        run_loop(synth_default_lut(), gen_daylight("constant", 5), ctl, inv, SimConfig())
     # the controller first trains at k=1; the inverse model trains at k=0
     k = 1 if (net_name, bad) == ("controller", 1e300) else 0
     assert (info.value.net, info.value.k) == (net_name, k)

@@ -54,7 +54,10 @@ def test_step_record_fields_follow_the_trajectory_columns():
 
 def test_panel_csv_headers(tmp_path):
     paths = write_panel_csvs(sample_records(5), tmp_path)
-    heads = {p.rsplit("/", 1)[-1]: open(p).readline().strip() for p in map(str, paths)}
+    heads = {}
+    for p in map(str, paths):
+        with open(p) as fh:
+            heads[p.rsplit("/", 1)[-1]] = fh.readline().strip()
     assert heads["panel_illuminance.csv"] == "k,E_desired,E_daylight,E_electric,E_measured"
     assert heads["panel_error.csv"] == "k,eps,deps"
     assert heads["panel_command.csv"] == "k,U,U_IM"
@@ -101,7 +104,8 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
 def test_svg_files_are_wellformed_charts(tmp_path):
     arts = write_run_artifacts(sample_records(30), 0, tmp_path)
     for p in arts["svgs"]:
-        body = open(p).read()
+        with open(p) as fh:
+            body = fh.read()
         assert body.startswith("<svg ") or body.startswith("<?xml")
         assert "<polyline" in body and body.rstrip().endswith("</svg>")
 
