@@ -8,17 +8,19 @@ Three commands:
   daylux lut        generate or inspect command-to-illuminance tables
 
 Exit codes: 0 success, 1 validation/usage error or a diverged run, 2 I/O
-error, 3 gradient check failed its tolerance.
+error, 3 gradient check failed its tolerance.  A reader that closes stdout
+early (`daylux lut inspect | head -1`) is not an error: the exit code is 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import fields
 
 from .config import (
     ALLOWED,
+    FIELDS,
     SYNTHETIC_LUT_SCHEMA,
     SimConfig,
     apply_settings,
@@ -105,16 +107,16 @@ def build_parser() -> _Parser:
     sim.add_argument("--config", type=_path, help="key = value config file; flags take precedence")
     # One flag per SimConfig field, dest = field name, no argparse default: an
     # omitted flag leaves None, so parse_config can tell it from a given one.
-    for f in fields(SimConfig):
-        help_text = SIMULATE_HELP[f.name]
-        if f.name == "use_bias":
-            sim.add_argument("--no-bias", dest=f.name, nargs=0, const="false", help=help_text)
+    for key, _, default in FIELDS:
+        help_text = SIMULATE_HELP[key]
+        if key == "use_bias":
+            sim.add_argument("--no-bias", dest=key, nargs=0, const="false", help=help_text)
             continue
-        if f.name in ALLOWED:
-            help_text += ": " + " or ".join(map(str, ALLOWED[f.name]))
-        name = f.name.removesuffix("_source")
-        sim.add_argument("--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(),
-                         help=f"{help_text} (default {f.default})")
+        if key in ALLOWED:
+            help_text += ": " + " or ".join(map(str, ALLOWED[key]))
+        name = key.removesuffix("_source")
+        sim.add_argument("--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
+                         help=f"{help_text} (default {default})")
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     grad.add_argument("--seed", default="0", help="sampling seed (default 0)")
@@ -141,7 +143,7 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     if ns.config is not None:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
     # Given flags are strings and go through the same converter as config-file keys.
-    flags = {f.name: v for f in fields(SimConfig) if (v := getattr(ns, f.name)) is not None}
+    flags = {key: v for key, _, _ in FIELDS if (v := getattr(ns, key)) is not None}
     apply_settings(cfg, flags, "command line")
     cfg.validate()
     return cfg
@@ -175,10 +177,12 @@ def cmd_gradcheck(seed: int, trials: int) -> int:
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     max_rel = gradcheck_max_rel_error(seed, trials)
-    print(f"gradcheck: trials={trials} max_rel_err={max_rel:.3e}")
+    result = f"trials={trials} max_rel_err={max_rel:.3e}"
     if max_rel < GRADCHECK_TOLERANCE:
+        print(f"gradcheck: {result}")
         return 0
-    print(f"gradcheck FAILED: {max_rel:.3e} >= {GRADCHECK_TOLERANCE:.0e}", file=sys.stderr)
+    # A failure writes nothing to stdout, so a closed stdout cannot hide exit 3.
+    print(f"gradcheck FAILED: {result} >= {GRADCHECK_TOLERANCE:.0e}", file=sys.stderr)
     return 3
 
 
@@ -234,25 +238,38 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if not args or args[0].startswith("-") and args[0] not in ("-h", "--help"):
         args.insert(0, "simulate")
-    parser = build_parser()
     try:
-        ns = parser.parse_args(args)
-        if ns.command == "simulate":
-            return cmd_simulate(parse_config(ns))
-        if ns.command == "gradcheck":
-            return cmd_gradcheck(**typed_flags(ns, GRADCHECK_SCHEMA))
-        if ns.command == "lut":
-            return cmd_lut(ns)
-        raise UsageError(f"unknown command {ns.command!r}")
-    except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return 0 if code is None else int(code)
+        code = run_command(build_parser(), args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`daylux lut inspect | head -1`),
+        # which is normal use.  Every command decides a nonzero exit before
+        # its first stdout write, so 0 is the command's own code.  What is
+        # still buffered goes to devnull, so the flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as exc:  # UsageError, ConfigError, TableFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+
+
+def run_command(parser: _Parser, args: list[str]) -> int:
+    """Parse args and run the command they name; returns its exit code."""
+    try:
+        ns = parser.parse_args(args)
+    except SystemExit as exc:  # argparse --help
+        return 0 if exc.code is None else int(exc.code)
+    if ns.command == "simulate":
+        return cmd_simulate(parse_config(ns))
+    if ns.command == "gradcheck":
+        return cmd_gradcheck(**typed_flags(ns, GRADCHECK_SCHEMA))
+    if ns.command == "lut":
+        return cmd_lut(ns)
+    raise UsageError(f"unknown command {ns.command!r}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import math
 import os
-from dataclasses import dataclass, fields
 
 from . import plant
 from .signals import D8BV_MAX, ERROR_SCALINGS
@@ -29,25 +28,47 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-@dataclass
-class SimConfig:
-    steps: int = 2000
-    e_desired: int = 100
-    gamma_controller: float = 0.15
-    gamma_inverse: float = 0.15
+# SimConfig's fields in order, one (name, type name, default) row each.  The
+# `simulate` flags, the config-file keys and validate's type checks all read
+# this table.
+FIELDS = (
+    ("steps", "int", 2000),
+    ("e_desired", "int", 100),
+    ("gamma_controller", "float", 0.15),
+    ("gamma_inverse", "float", 0.15),
     # Repo-pinned seeds: the out-of-the-box run is the fast-daylight acceptance
     # scenario, so these are part of the package's reproducibility contract.
-    seed_controller: int = 2
-    seed_inverse: int = 2
-    seed_daylight: int = 2
-    lut_source: str = "synthetic"
-    daylight_source: str = "fast"
-    warmup: int = 200
-    error_scaling: str = "independent"
-    inverse_target_lag: int = 0
-    plant_delay: int = 1
-    use_bias: bool = True
-    out_dir: str = "out"
+    ("seed_controller", "int", 2),
+    ("seed_inverse", "int", 2),
+    ("seed_daylight", "int", 2),
+    ("lut_source", "str", "synthetic"),
+    ("daylight_source", "str", "fast"),
+    ("warmup", "int", 200),
+    ("error_scaling", "str", "independent"),
+    ("inverse_target_lag", "int", 0),
+    ("plant_delay", "int", 1),
+    ("use_bias", "bool", True),
+    ("out_dir", "str", "out"),
+)
+_FIELD_TYPES = {name: type_name for name, type_name, _ in FIELDS}
+
+
+class SimConfig:
+    """One run's settings: a keyword per FIELDS row, the row's default if omitted."""
+
+    def __init__(self, **values) -> None:
+        unknown = values.keys() - _FIELD_TYPES.keys()
+        if unknown:
+            raise TypeError(f"SimConfig got unexpected keyword argument(s): {sorted(unknown)}")
+        for name, _, default in FIELDS:
+            setattr(self, name, values.get(name, default))
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is SimConfig else NotImplemented
+
+    def __repr__(self) -> str:
+        settings = ", ".join(f"{name}={getattr(self, name)!r}" for name, _, _ in FIELDS)
+        return f"SimConfig({settings})"
 
     def validate(self) -> None:
         """Raise ConfigError on any out-of-contract field."""
@@ -74,6 +95,8 @@ class SimConfig:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, got {value!r}")
         if self.out_dir == "":
             raise ConfigError("out_dir must not be empty")
+        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise ConfigError(f"out_dir is not a directory: {self.out_dir}")
         for key, spec in (("lut", self.lut_source), ("daylight", self.daylight_source)):
             try:
                 kind, params = parse_source(key, spec)
@@ -169,7 +192,6 @@ def load_config_file(path) -> dict[str, str]:
     return settings
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 # The fields limited to a fixed set of values, enforced by validate and listed by `--help`.
 ALLOWED = {
     "error_scaling": ERROR_SCALINGS,

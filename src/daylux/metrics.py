@@ -14,25 +14,34 @@ heuristic, so two runs of the same config always agree on what was counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 WIDE_BAND = (-11, 9)
 NARROW_BAND = (-5, 5)
 PERCEPTION_BAND = (93, 107)
 
 
-@dataclass(frozen=True)
 class BandReport:
-    warmup_steps: int
-    n_steady: int
-    eps_min: int
-    eps_max: int
-    frac_in_wide: float
-    frac_in_narrow: float
-    frac_in_shell: float  # in the wide band but outside the narrow one
-    frac_meas_in_perception: float
-    rms_eps: float
-    valid: bool
+    """The band statistics of one run; see band_report.
+
+    frac_in_shell is the share in the wide band but outside the narrow one.
+    """
+
+    def __init__(self, warmup_steps: int, n_steady: int, eps_min: int, eps_max: int,
+                 frac_in_wide: float, frac_in_narrow: float, frac_in_shell: float,
+                 frac_meas_in_perception: float, rms_eps: float, valid: bool) -> None:
+        self.warmup_steps = warmup_steps
+        self.n_steady = n_steady
+        self.eps_min = eps_min
+        self.eps_max = eps_max
+        self.frac_in_wide = frac_in_wide
+        self.frac_in_narrow = frac_in_narrow
+        self.frac_in_shell = frac_in_shell
+        self.frac_meas_in_perception = frac_meas_in_perception
+        self.rms_eps = rms_eps
+        self.valid = valid
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is BandReport else NotImplemented
 
 
 def band_report(records, warmup_steps: int) -> BandReport:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-from dataclasses import dataclass, field
 
 from .rng import SplitMix64
 from .signals import D8BV_MAX, check_d8bv, round_half_away
@@ -45,25 +44,20 @@ class TableFormatError(ValueError):
     """A CSV file failed validation; the message names the offending line."""
 
 
-@dataclass(frozen=True)
 class ProcessLut:
-    """Monotone command-to-illuminance table, immutable once built.
+    """Monotone command-to-illuminance table; not to be changed once built.
 
     Between knots the table interpolates linearly and rounds half away from
     zero; outside the knot range it extends with the endpoint value.
+    Equality, hash and repr see only the knots.
     """
 
-    knots: tuple[tuple[int, int], ...]
-    # The knots split into u and e columns once, for lut_eval.
-    _us: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _es: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.knots) < 2:
-            raise ValueError(f"a LUT needs at least 2 knots, got {len(self.knots)}")
+    def __init__(self, knots: tuple[tuple[int, int], ...]) -> None:
+        if len(knots) < 2:
+            raise ValueError(f"a LUT needs at least 2 knots, got {len(knots)}")
         prev_u = -1
         prev_e = -1
-        for u, e in self.knots:
+        for u, e in knots:
             check_d8bv(u, "LUT knot u")
             check_d8bv(e, "LUT knot e")
             if u <= prev_u:
@@ -71,8 +65,19 @@ class ProcessLut:
             if e < prev_e:
                 raise ValueError(f"LUT knot e values must be non-decreasing (e={e} after {prev_e})")
             prev_u, prev_e = u, e
-        object.__setattr__(self, "_us", tuple(u for u, _ in self.knots))
-        object.__setattr__(self, "_es", tuple(e for _, e in self.knots))
+        self.knots = knots
+        # The knots split into u and e columns once, for lut_eval.
+        self._us = tuple(u for u, _ in knots)
+        self._es = tuple(e for _, e in knots)
+
+    def __eq__(self, other):
+        return self.knots == other.knots if type(other) is ProcessLut else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.knots)
+
+    def __repr__(self) -> str:
+        return f"ProcessLut(knots={self.knots!r})"
 
 
 def lut_eval(lut: ProcessLut, u: int) -> int:
@@ -133,14 +138,11 @@ def synth_default_lut(
     return ProcessLut(tuple(knots))
 
 
-@dataclass(frozen=True)
 class DaylightTrajectory:
     """Per-step daylight illuminance."""
 
-    samples: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for k, s in enumerate(self.samples):
+    def __init__(self, samples: tuple[int, ...]) -> None:
+        for k, s in enumerate(samples):
             try:
                 check_d8bv(s, "daylight sample")
             except ValueError as exc:
@@ -148,6 +150,7 @@ class DaylightTrajectory:
                 # for every sample cost milliseconds on long trajectories
                 msg = str(exc).replace("daylight sample", f"daylight sample at k={k}", 1)
                 raise ValueError(msg) from None
+        self.samples = samples
 
 
 def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTrajectory:

@@ -27,7 +27,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 
 from .rng import SplitMix64
@@ -37,14 +36,19 @@ INIT_WEIGHT_SPAN = 0.5
 HIDDEN_WIDTH = 3
 
 
-@dataclass
 class TinyNet:
     """n-3-1 net: ``w1`` holds the 3 tanh hidden rows, ``w2`` the linear output row."""
 
-    w1: list[list[float]]
-    w2: list[float]
-    learning_rate: float
-    use_bias: bool
+    def __init__(
+        self, w1: list[list[float]], w2: list[float], learning_rate: float, use_bias: bool
+    ) -> None:
+        self.w1 = w1
+        self.w2 = w2
+        self.learning_rate = learning_rate
+        self.use_bias = use_bias
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is TinyNet else NotImplemented
 
 
 def tanh(x: float) -> float:

@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import os
 import re
-from dataclasses import fields
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import daylux
 import daylux.cli as cli_mod
 from daylux.cli import build_parser, main, parse_config
-from daylux.config import ConfigError, SimConfig, apply_settings
+from daylux.config import FIELDS, ConfigError, SimConfig, apply_settings
 from daylux.plant import load_lut_csv
 from daylux.report import TRAJECTORY_HEADER
 
@@ -128,7 +132,9 @@ def test_gradcheck_reports_and_passes(capsys):
 def test_gradcheck_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "gradcheck_max_rel_error", lambda seed, trials: 1.0)
     assert main(["gradcheck", "--trials", "4"]) == 3
-    assert "FAILED" in capsys.readouterr().err
+    # Nothing on stdout, so a closed stdout cannot turn the failure into exit 0.
+    failed = "gradcheck FAILED: trials=4 max_rel_err=1.000e+00 >= 1e-05\n"
+    assert capsys.readouterr() == ("", failed)
 
 
 def test_gradcheck_rejects_zero_trials(capsys):
@@ -225,8 +231,8 @@ def test_every_config_field_has_a_simulate_flag(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ])
     cfg = parse_config(ns)
-    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default] == []
-    assert len(fields(cfg)) == 15
+    assert [key for key, _, default in FIELDS if getattr(cfg, key) == default] == []
+    assert len(FIELDS) == 15
 
 
 def test_omitted_flags_keep_every_config_file_value(tmp_path):
@@ -237,9 +243,9 @@ def test_omitted_flags_keep_every_config_file_value(tmp_path):
         error_scaling="shared255", inverse_target_lag=1, plant_delay=0, use_bias=False,
         out_dir=str(tmp_path / "o"),
     )
-    assert [f.name for f in fields(want) if getattr(want, f.name) == f.default] == []
+    assert [key for key, _, default in FIELDS if getattr(want, key) == default] == []
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("".join(f"{f.name} = {getattr(want, f.name)}\n" for f in fields(want)))
+    cfg_file.write_text("".join(f"{key} = {getattr(want, key)}\n" for key, _, _ in FIELDS))
     assert parse_config(build_parser().parse_args(["simulate", "--config", str(cfg_file)])) == want
 
 
@@ -247,25 +253,25 @@ def test_simulate_flags_come_from_the_config_fields():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = subparsers.choices["simulate"]._actions
-    for f in fields(SimConfig):
-        (action,) = [a for a in actions if a.dest == f.name]
+    for key, type_name, default in FIELDS:
+        (action,) = [a for a in actions if a.dest == key]
         assert action.default is None  # an omitted flag leaves the config-file value
-        if f.name == "use_bias":
+        if key == "use_bias":
             assert action.option_strings == ["--no-bias"] and action.const == "false"
             continue
-        suffix = f" (default {f.default})"
+        suffix = f" (default {default})"
         assert action.help.endswith(suffix), action.help
-        if f.name not in ("error_scaling", "inverse_target_lag", "plant_delay"):
+        if key not in ("error_scaling", "inverse_target_lag", "plant_delay"):
             continue
         # The values the help lists are exactly the ones validate accepts.
         listed = action.help.split(": ")[-1].removesuffix(suffix).split(" or ")
         for value in listed:
             cfg = SimConfig()
-            apply_settings(cfg, {f.name: value}, "test")
+            apply_settings(cfg, {key: value}, "test")
             cfg.validate()
         cfg = SimConfig()
-        apply_settings(cfg, {f.name: "9" if f.type == "int" else "x"}, "test")
-        with pytest.raises(ConfigError, match=rf"^{f.name} must be {' or '.join(listed)}, got "):
+        apply_settings(cfg, {key: "9" if type_name == "int" else "x"}, "test")
+        with pytest.raises(ConfigError, match=rf"^{key} must be {' or '.join(listed)}, got "):
             cfg.validate()
 
 
@@ -348,10 +354,10 @@ def test_an_empty_path_argument_exits_1_naming_it(tmp_path, monkeypatch, capsys,
 
 
 # A bad value for every field that takes one on the command line, as typed
-# after its flag and as a config-file key.  out_dir's only bad value is the
-# empty one: every other string is a valid directory name until the run
-# writes to it.
-BAD_VALUES = [(f.name, "x") for f in fields(SimConfig) if f.type in ("int", "float")] + [
+# after its flag and as a config-file key.  out_dir's one bad string is the
+# empty one; the only other is the path of an existing file, which has a test
+# of its own below.
+BAD_VALUES = [(key, "x") for key, type_name, _ in FIELDS if type_name in ("int", "float")] + [
     ("out_dir", ""),
     ("error_scaling", "percent"),
     ("lut_source", "poly:2"),
@@ -373,6 +379,45 @@ def test_flags_and_config_keys_reject_a_value_alike(tmp_path, capsys, key, value
         assert err.startswith("error: ") and err.count("\n") == 1
     assert from_flag.replace("command line: ", "") == from_file.replace(f"{cfg}: ", "")
     assert key.removesuffix("_source") in from_flag
+
+
+def test_an_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    assert main(["simulate", "--steps", "5", "--out-dir", str(taken)]) == 1
+    assert capsys.readouterr() == ("", f"error: out_dir is not a directory: {taken}\n")
+    assert taken.read_text() == "kept\n"
+
+
+PANELS = ("command", "error", "illuminance")
+ARTIFACTS = sorted(f"panel_{p}.{ext}" for p in PANELS for ext in ("csv", "svg"))
+ARTIFACTS += ["summary.txt", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    "lut inspect",
+    "simulate --steps 5 --daylight constant:30 --out-dir {out}",
+], ids=["lut-inspect", "simulate"])
+def test_a_closed_stdout_exits_0_with_nothing_on_stderr(tmp_path, argv, unbuffered):
+    # As in `daylux lut inspect | head -1`, the reader is gone before the
+    # output arrives: at a print when stdout is unbuffered, at the final
+    # flush when it is buffered.
+    out = tmp_path / "o"
+    script = "import sys; from daylux.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent),
+           "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *argv.format(out=out).split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert err == b""
+    if argv.startswith("simulate"):
+        assert sorted(os.listdir(out)) == ARTIFACTS
 
 
 @pytest.mark.parametrize("name, argv", [

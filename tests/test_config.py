@@ -58,6 +58,7 @@ def test_validate_rejects_out_of_contract_fields():
         ("lut_source", 3),
         ("out_dir", 3),
         ("out_dir", ""),
+        ("out_dir", __file__),  # an existing file, not a directory
     ):
         cfg = SimConfig()
         setattr(cfg, field, value)

@@ -1,8 +1,10 @@
 """Tests for the closed loop: wiring identities, step ordering, determinism."""
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import sys
 
 import pytest
@@ -265,7 +267,7 @@ WIRINGS = [
 
 
 def test_step_record_is_frozen():
-    fields = [f.name for f in dataclasses.fields(StepRecord)]
+    fields = StepRecord.__slots__
     for wiring in WIRINGS:
         recs, _ = run_simulation(SimConfig(steps=40, **wiring))
         assert len(recs) == 40
@@ -274,10 +276,12 @@ def test_step_record_is_frozen():
             assert not hasattr(r, "__dict__")
             built = StepRecord(**{name: getattr(r, name) for name in fields})
             assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
-            assert sys.getsizeof(r) == sys.getsizeof(built)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            assert sys.getsizeof(r) == sys.getsizeof(built) == 120
+            assert pickle.loads(pickle.dumps(r)) == r == copy.copy(r)
+            frozen = dataclasses.FrozenInstanceError
+            with pytest.raises(frozen, match="^cannot assign to field 'u'$"):
                 r.u = 7
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(frozen, match="^cannot delete field 'u'$"):
                 del r.u
 
 

@@ -3,16 +3,23 @@
 Each config draws its plant table, daylight, setpoint, seeds, learning rates
 and wiring switches from one SplitMix64 stream.  The two loops must write the
 same trajectory.csv bytes and end with bit-identical weights, or diverge at
-the same step in the same net.
+the same step in the same net.  Every record of a run that does not diverge
+must also satisfy the plant and error identities, whatever the nets learn.
 """
 
 from math import exp, log
 
 from reference_loop import ReferenceDivergence, run_reference
 
-from daylux.config import SimConfig
+from daylux.config import SimConfig, build_lut
 from daylux.loop import DivergenceError, run_simulation
-from daylux.plant import DaylightTrajectory, ProcessLut, save_daylight_csv, save_lut_csv
+from daylux.plant import (
+    DaylightTrajectory,
+    ProcessLut,
+    lut_eval,
+    save_daylight_csv,
+    save_lut_csv,
+)
 from daylux.report import write_trajectory_csv
 from daylux.rng import SplitMix64
 from daylux.signals import ERROR_SCALINGS
@@ -78,12 +85,36 @@ def draw_config(rng: SplitMix64, i: int, tmp_path) -> SimConfig:
     )
 
 
+EIGHT_BIT_COLUMNS = ("e_desired", "e_daylight", "e_electric", "e_measured", "u", "u_im")
+
+
+def check_record_invariants(records, cfg) -> None:
+    """The identities each step must satisfy, whatever the nets learn.
+
+    The sensor adds daylight to the plant's answer and saturates at 255; the
+    plant answers the previous command under plant_delay 1 (U(-1) = 0) and
+    the current one under 0; eps and deps are exact integer differences.
+    """
+    lut = build_lut(cfg)
+    eps_prev = u_prev = 0
+    for r in records:
+        for name in EIGHT_BIT_COLUMNS:
+            value = getattr(r, name)
+            assert type(value) is int and 0 <= value <= 255, (r, name)
+        assert r.e_electric == lut_eval(lut, u_prev if cfg.plant_delay == 1 else r.u), r
+        assert r.e_measured == min(r.e_electric + r.e_daylight, 255), r
+        assert r.eps == r.e_desired - r.e_measured, r
+        assert r.deps == r.eps - eps_prev, r
+        eps_prev, u_prev = r.eps, r.u
+
+
 def outcome(run, cfg, path):
     """The trajectory bytes and weight bits of a run, or where it diverged."""
     try:
         records, nets = run(cfg)
     except (DivergenceError, ReferenceDivergence) as exc:
         return "diverged", exc.net, exc.k
+    check_record_invariants(records, cfg)
     write_trajectory_csv(records, path)
     weights = [[w.hex() for w in row] for net in nets for row in net.w1 + [net.w2]]
     return path.read_bytes(), weights

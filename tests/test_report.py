@@ -1,7 +1,6 @@
 """Tests for the artifact writers: CSV formats, summary text, SVG output."""
 
 import hashlib
-from dataclasses import fields
 
 import pytest
 
@@ -49,7 +48,7 @@ def test_step_record_fields_follow_the_trajectory_columns():
     # write_trajectory_csv names fields and loop_step fills them by position,
     # so the two orders must agree column for column
     columns = [c.lower() for c in TRAJECTORY_HEADER.split(",")]
-    assert [f.name for f in fields(StepRecord)] == columns
+    assert list(StepRecord.__slots__) == columns
 
 
 def test_panel_csv_headers(tmp_path):

@@ -1,6 +1,12 @@
-"""The package has no runtime dependencies: it imports only the standard library."""
+"""The package has no runtime dependencies: it imports only the standard library.
+
+It also keeps its start-up lean: every `daylux` command is a fresh process
+that pays for each module imported.
+"""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,3 +30,21 @@ def test_every_absolute_import_is_standard_library():
             outside += [f"{path.name}: {n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_a_simulate_run_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses, with the inspect, ast, dis and tokenize it imports, costs
+    # about 15 ms per CLI run; nothing the package does needs them.
+    probe = "import sys; {}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+
+    def loaded(code: str) -> str:
+        child = subprocess.run(
+            [sys.executable, "-c", probe.format(code)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        )
+        return child.stdout.splitlines()[-1]
+
+    run = ("import daylux.cli; "
+           f"daylux.cli.main(['simulate', '--steps', '5', '--out-dir', {str(tmp_path)!r}])")
+    assert loaded(run) == loaded("pass")
