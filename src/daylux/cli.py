@@ -7,9 +7,10 @@ Three commands:
   daylux gradcheck  compare backprop gradients against central differences
   daylux lut        generate or inspect command-to-illuminance tables
 
-Exit codes: 0 success, 1 validation/usage error or a diverged run, 2 I/O
-error, 3 gradient check failed its tolerance.  A reader that closes stdout
-early (`daylux lut inspect | head -1`) is not an error: the exit code is 0.
+Exit codes: 0 success, 1 validation/usage error, a diverged run or a run too
+large for memory, 2 I/O error, 3 gradient check failed its tolerance.  A
+reader that closes stdout early (`daylux lut inspect | head -1`) is not an
+error: the exit code is 0.
 """
 
 from __future__ import annotations
@@ -251,6 +252,9 @@ def main(argv=None) -> int:
         return 0
     except ValueError as exc:  # UsageError, ConfigError, TableFormatError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -95,15 +95,20 @@ class SimConfig:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, got {value!r}")
         if self.out_dir == "":
             raise ConfigError("out_dir must not be empty")
-        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
-            raise ConfigError(f"out_dir is not a directory: {self.out_dir}")
+        # The run makes out_dir and any missing parents; what exists must be directories.
+        path = os.fspath(self.out_dir)
+        while path and not os.path.isdir(path):
+            if os.path.exists(path):
+                raise ConfigError(f"out_dir is not a directory: {path}")
+            path = os.path.dirname(path)
         for key, spec in (("lut", self.lut_source), ("daylight", self.daylight_source)):
             try:
                 kind, params = parse_source(key, spec)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
             if kind == "csv" and not os.path.isfile(params["path"]):
-                raise ConfigError(f"{key}: file not found: {params['path']}")
+                problem = "not a file" if os.path.exists(params["path"]) else "file not found"
+                raise ConfigError(f"{key}: {problem}: {params['path']}")
 
 
 # Parameters of the synthetic table, typed as `synthetic:` spec keys or as

@@ -14,7 +14,7 @@ other profile can be supplied as a CSV file.
 
 from __future__ import annotations
 
-import bisect
+import codecs
 import csv
 import io
 
@@ -47,28 +47,31 @@ class TableFormatError(ValueError):
 class ProcessLut:
     """Monotone command-to-illuminance table; not to be changed once built.
 
-    Between knots the table interpolates linearly and rounds half away from
-    zero; outside the knot range it extends with the endpoint value.
-    Equality, hash and repr see only the knots.
+    `table` holds the answer for each of the 256 commands, computed once from
+    the knots.  Between knots it interpolates linearly, in exact integers,
+    and rounds half away from zero; outside the knot range it extends with
+    the endpoint value.  Equality, hash and repr see only the knots.
     """
 
     def __init__(self, knots: tuple[tuple[int, int], ...]) -> None:
         if len(knots) < 2:
             raise ValueError(f"a LUT needs at least 2 knots, got {len(knots)}")
-        prev_u = -1
-        prev_e = -1
         for u, e in knots:
             check_d8bv(u, "LUT knot u")
             check_d8bv(e, "LUT knot e")
-            if u <= prev_u:
-                raise ValueError(f"LUT knot u values must be strictly increasing (u={u})")
-            if e < prev_e:
-                raise ValueError(f"LUT knot e values must be non-decreasing (e={e} after {prev_e})")
-            prev_u, prev_e = u, e
+        table = [knots[0][1]] * knots[0][0]
+        for (u0, e0), (u1, e1) in zip(knots, knots[1:]):
+            if u1 <= u0:
+                raise ValueError(f"LUT knot u values must be strictly increasing (u={u1})")
+            if e1 < e0:
+                raise ValueError(f"LUT knot e values must be non-decreasing (e={e1} after {e0})")
+            # e0 + k*(e1-e0)/du rounded half up, which is half away from zero as e >= 0
+            du = u1 - u0
+            de2, du2 = 2 * (e1 - e0), 2 * du
+            table += [e0 + (k * de2 + du) // du2 for k in range(du)]
+        table += [knots[-1][1]] * (D8BV_MAX + 1 - knots[-1][0])
         self.knots = knots
-        # The knots split into u and e columns once, for lut_eval.
-        self._us = tuple(u for u, _ in knots)
-        self._es = tuple(e for _, e in knots)
+        self.table = tuple(table)
 
     def __eq__(self, other):
         return self.knots == other.knots if type(other) is ProcessLut else NotImplemented
@@ -82,19 +85,7 @@ class ProcessLut:
 
 def lut_eval(lut: ProcessLut, u: int) -> int:
     """Electric illuminance for command u (piecewise-linear, rounded)."""
-    check_d8bv(u, "u")
-    us = lut._us
-    es = lut._es
-    if u <= us[0]:
-        return es[0]
-    if u >= us[-1]:
-        return es[-1]
-    hi = bisect.bisect_left(us, u)
-    if us[hi] == u:
-        return es[hi]
-    lo = hi - 1
-    frac = (u - us[lo]) / (us[hi] - us[lo])
-    return round_half_away(es[lo] + frac * (es[hi] - es[lo]))
+    return lut.table[check_d8bv(u, "u")]
 
 
 def lut_inverse(lut: ProcessLut, e_target: int) -> int:
@@ -104,13 +95,8 @@ def lut_inverse(lut: ProcessLut, e_target: int) -> int:
     components (and the `lut inspect` command) are judged against.
     """
     check_d8bv(e_target, "e_target")
-    best_u = 0
-    best_err = abs(lut_eval(lut, 0) - e_target)
-    for u in range(1, D8BV_MAX + 1):
-        err = abs(lut_eval(lut, u) - e_target)
-        if err < best_err:
-            best_u, best_err = u, err
-    return best_u
+    errors = [abs(e - e_target) for e in lut.table]
+    return errors.index(min(errors))
 
 
 def synth_default_lut(
@@ -297,7 +283,10 @@ def save_daylight_csv(traj: DaylightTrajectory, path) -> None:
 def read_text(path, error: type[ValueError]) -> str:
     """The whole file decoded as UTF-8; a bad byte raises `error` naming its line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # Excel's "CSV UTF-8" starts with a byte-order mark.  Cutting it from
+        # the bytes, not in the decoder, keeps a decode error's offset an index
+        # into data.
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -390,6 +390,23 @@ def test_an_out_dir_naming_a_file_exits_1_before_the_run(tmp_path, monkeypatch, 
     assert taken.read_text() == "kept\n"
 
 
+def test_an_out_dir_below_a_file_exits_1_before_the_run(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    for below in (taken / "sub", taken / "a" / "b"):
+        assert main(["simulate", "--steps", "5", "--out-dir", str(below)]) == 1
+        assert capsys.readouterr() == ("", f"error: out_dir is not a directory: {taken}\n")
+    assert taken.read_text() == "kept\n"
+
+
+def test_a_run_too_large_for_memory_exits_1_with_one_error_line(capsys):
+    # The constant trajectory's tuple repeat fails at once, before allocating.
+    argv = ["simulate", "--steps", "1000000000000000", "--daylight", "constant:30"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 PANELS = ("command", "error", "illuminance")
 ARTIFACTS = sorted(f"panel_{p}.{ext}" for p in PANELS for ext in ("csv", "svg"))
 ARTIFACTS += ["summary.txt", "trajectory.csv"]

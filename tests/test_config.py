@@ -1,5 +1,8 @@
 """Tests for configuration defaults, spec strings, and key=value files."""
 
+import codecs
+import os
+
 import pytest
 
 from daylux.config import (
@@ -59,6 +62,8 @@ def test_validate_rejects_out_of_contract_fields():
         ("out_dir", 3),
         ("out_dir", ""),
         ("out_dir", __file__),  # an existing file, not a directory
+        ("out_dir", os.path.join(__file__, "sub")),  # below an existing file
+        ("out_dir", os.path.join(__file__, "a", "b", "")),
     ):
         cfg = SimConfig()
         setattr(cfg, field, value)
@@ -70,6 +75,8 @@ def test_validate_rejects_out_of_contract_fields():
 
 def test_validate_accepts_int_gammas_and_path_out_dirs(tmp_path):
     SimConfig(gamma_controller=1, gamma_inverse=0.5, out_dir=tmp_path / "run").validate()
+    for out_dir in (tmp_path / "a" / "b", f"{tmp_path}/a/b/", "a/b"):  # made by the run
+        SimConfig(out_dir=out_dir).validate()
 
 
 def test_validate_checks_csv_paths_exist(tmp_path):
@@ -77,6 +84,11 @@ def test_validate_checks_csv_paths_exist(tmp_path):
     with pytest.raises(ConfigError) as err:
         cfg.validate()
     assert "file not found" in str(err.value)
+    for key in ("lut", "daylight"):
+        cfg = SimConfig(**{f"{key}_source": f"csv:{tmp_path}"})
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == f"{key}: not a file: {tmp_path}"
 
 
 def test_parse_source_reads_each_kind():
@@ -163,11 +175,14 @@ def test_load_config_file(tmp_path):
         "daylight_source = constant:25\n"
         "use_bias = false\n"
     )
-    assert load_config_file(path) == {
+    expected = {
         "steps": "500",
         "daylight_source": "constant:25",
         "use_bias": "false",
     }
+    assert load_config_file(path) == expected
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())  # as Excel saves "UTF-8"
+    assert load_config_file(path) == expected
 
 
 def test_load_config_file_rejects_bad_lines(tmp_path):
@@ -191,10 +206,11 @@ def test_load_config_file_rejects_a_key_set_twice(tmp_path):
 
 def test_non_utf8_config_file_names_path_and_line(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_bytes(b"# caf\xc3\xa9\nsteps = 5\nwarmup = \xff\n")
-    with pytest.raises(ConfigError) as err:
-        load_config_file(path)
-    assert str(err.value) == f"{path}: invalid UTF-8 byte 0xff at line 3"
+    for bom in (b"", codecs.BOM_UTF8):  # the line count ignores a byte-order mark
+        path.write_bytes(bom + b"# caf\xc3\xa9\nsteps = 5\nwarmup = \xff\n")
+        with pytest.raises(ConfigError) as err:
+            load_config_file(path)
+        assert str(err.value) == f"{path}: invalid UTF-8 byte 0xff at line 3"
 
 
 def test_apply_settings_types_and_errors():

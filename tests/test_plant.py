@@ -1,5 +1,6 @@
 """Tests for the LUT plant, daylight generators, and their CSV formats."""
 
+import codecs
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from daylux.plant import (
     save_lut_csv,
     synth_default_lut,
 )
+from daylux.rng import SplitMix64
 
 
 def test_default_lut_shape():
@@ -249,11 +251,12 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
 
 def test_non_utf8_csv_is_a_table_format_error(tmp_path):
     for loader, header in ((load_daylight_csv, "k,e"), (load_lut_csv, "u,e")):
-        p = tmp_path / f"{header[0]}.csv"
-        p.write_bytes(f"{header}\r\n0,0\r\n1,\xff\n".encode("latin-1"))
-        with pytest.raises(TableFormatError) as err:
-            loader(p)
-        assert str(err.value) == f"{p}: invalid UTF-8 byte 0xff at line 3"
+        for bom in (b"", codecs.BOM_UTF8):  # the line count ignores a byte-order mark
+            p = tmp_path / f"{header[0]}.csv"
+            p.write_bytes(bom + f"{header}\r\n0,0\r\n1,\xff\n".encode("latin-1"))
+            with pytest.raises(TableFormatError) as err:
+                loader(p)
+            assert str(err.value) == f"{p}: invalid UTF-8 byte 0xff at line 3"
 
 
 def test_daylight_csv_header_only_is_empty(tmp_path):
@@ -275,8 +278,13 @@ def test_process_lut_equality_hash_and_repr_see_only_knots():
     assert a == b and hash(a) == hash(b)
     assert a != ProcessLut(((0, 0), (255, 180)))
     assert repr(a) == f"ProcessLut(knots={a.knots!r})"
-    assert a._us == tuple(u for u, _ in a.knots)
-    assert a._es == tuple(e for _, e in a.knots)
+    assert type(a.table) is tuple and len(a.table) == 256
+    assert all(type(e) is int for e in a.table)
+    assert a.table == tuple(lut_eval(a, u) for u in range(256))
+    # a knot on the line changes no command's answer, but it is another table
+    line = ProcessLut(((0, 0), (255, 255)))
+    knotted = ProcessLut(((0, 0), (100, 100), (255, 255)))
+    assert line.table == knotted.table and line != knotted
 
 
 def _interpolate_exactly(knots, u):
@@ -290,10 +298,53 @@ def _interpolate_exactly(knots, u):
     return knots[-1][1]
 
 
-def test_lut_eval_matches_exact_interpolation_on_every_command(tmp_path):
+def _random_knot_sets(count, seed):
+    """Seeded monotone knot tuples with flat runs, mostly ending short of 0 and 255."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        us = set()
+        while len(us) < 2 + rng.randbelow(10):
+            us.add(rng.randbelow(256))
+        e = rng.randbelow(60)
+        knots = []
+        for u in sorted(us):
+            knots.append((u, e))
+            if rng.randbelow(4):  # else the next segment is flat
+                e = min(255, e + rng.randbelow(80))
+        yield tuple(knots)
+
+
+def _tested_tables(tmp_path):
     path = tmp_path / "lut.csv"
     # a flat run, a tie (u=201 -> 181.5) and ends short of 0 and 255
     path.write_text("u,e\n5,2\n12,3\n37,50\n100,50\n101,51\n200,180\n250,255\n")
-    for lut in (synth_default_lut(), load_lut_csv(path)):
+    # u=7 -> 31.5, which rounds half away to 32
+    yield from (synth_default_lut(), load_lut_csv(path), ProcessLut(((0, 0), (10, 45))))
+    yield from (ProcessLut(knots) for knots in _random_knot_sets(60, seed=15))
+
+
+def test_lut_eval_matches_exact_interpolation_on_every_command(tmp_path):
+    for lut in _tested_tables(tmp_path):
         for u in range(256):
-            assert lut_eval(lut, u) == _interpolate_exactly(lut.knots, u), u
+            assert lut_eval(lut, u) == _interpolate_exactly(lut.knots, u), (lut, u)
+
+
+def test_lut_inverse_is_the_first_nearest_command_of_the_exact_table(tmp_path):
+    for lut in _tested_tables(tmp_path):
+        exact = [_interpolate_exactly(lut.knots, u) for u in range(256)]
+        for e in range(256):
+            # min() keeps the first of equal keys: the smallest u
+            assert lut_inverse(lut, e) == min(range(256), key=lambda u: abs(exact[u] - e)), (lut, e)
+
+
+def test_a_utf8_byte_order_mark_is_not_part_of_the_text(tmp_path):
+    lut = tmp_path / "lut.csv"
+    lut.write_bytes(codecs.BOM_UTF8 + b"u,e\r\n0,0\r\n255,180\r\n")
+    assert load_lut_csv(lut).knots == ((0, 0), (255, 180))
+    day = tmp_path / "day.csv"
+    day.write_bytes(codecs.BOM_UTF8 + b"k,e\n0,30\n1,31\n")
+    assert load_daylight_csv(day).samples == (30, 31)
+    # only one mark is cut: a second one is text, and no header
+    lut.write_bytes(codecs.BOM_UTF8 * 2 + b"u,e\n0,0\n255,180\n")
+    with pytest.raises(TableFormatError, match="expected header 'u,e' at line 1$"):
+        load_lut_csv(lut)
