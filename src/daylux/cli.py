@@ -1,16 +1,14 @@
 """Command-line front end.
 
-Three commands:
+Two commands:
 
   daylux simulate   run the closed loop and write trajectory/panel/summary
                     artifacts (default when no command is named)
-  daylux gradcheck  compare backprop gradients against central differences
   daylux lut        generate or inspect command-to-illuminance tables
 
 Exit codes: 0 success, 1 validation/usage error, a diverged run or a run too
-large for memory, 2 I/O error, 3 gradient check failed its tolerance.  A
-reader that closes stdout early (`daylux lut inspect | head -1`) is not an
-error: the exit code is 0.
+large for memory, 2 I/O error.  A reader that closes stdout early (`daylux
+lut inspect | head -1`) is not an error: the exit code is 0.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .config import (
     load_config_file,
     synthetic_lut,
 )
-from .loop import CONTROLLER_INPUTS, INVERSE_INPUTS, run_simulation
+from .loop import run_simulation
 from .plant import (
     DEFAULT_LUT_E_MAX,
     DEFAULT_LUT_KNOTS,
@@ -41,12 +39,8 @@ from .plant import (
     synth_default_lut,
 )
 from .report import write_run_artifacts
-from .rng import SplitMix64
 from .signals import check_d8bv
-from .tinynet import backprop_gradients, init_network, numeric_gradient
 
-GRADCHECK_TOLERANCE = 1e-5
-GRADCHECK_SCHEMA = {"seed": "int", "trials": "int"}
 # `simulate` flag help by SimConfig field; build_parser appends the allowed
 # values and the default.
 SIMULATE_HELP = {
@@ -119,10 +113,6 @@ def build_parser() -> _Parser:
         sim.add_argument("--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
                          help=f"{help_text} (default {default})")
 
-    grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    grad.add_argument("--seed", default="0", help="sampling seed (default 0)")
-    grad.add_argument("--trials", default="100", help="number of random nets (default 100)")
-
     lut = sub.add_parser("lut", help="generate or inspect plant tables")
     lut_sub = lut.add_subparsers(dest="lut_command", required=True)
     gen = lut_sub.add_parser("generate", help="write a synthetic table CSV")
@@ -172,42 +162,6 @@ def cmd_simulate(cfg: SimConfig) -> int:
     print(f"wrote {artifacts['summary']}")
     sys.stdout.write(artifacts["summary_text"])
     return 0
-
-
-def cmd_gradcheck(seed: int, trials: int) -> int:
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    max_rel = gradcheck_max_rel_error(seed, trials)
-    result = f"trials={trials} max_rel_err={max_rel:.3e}"
-    if max_rel < GRADCHECK_TOLERANCE:
-        print(f"gradcheck: {result}")
-        return 0
-    # A failure writes nothing to stdout, so a closed stdout cannot hide exit 3.
-    print(f"gradcheck FAILED: {result} >= {GRADCHECK_TOLERANCE:.0e}", file=sys.stderr)
-    return 3
-
-
-def gradcheck_max_rel_error(seed: int, trials: int, h: float = 1e-5) -> float:
-    """Worst relative disagreement between backprop and central differences.
-
-    Trials alternate between the controller (2-3-1) and inverse-model (3-3-1)
-    shapes; weights come from the usual seeded init, inputs and targets are
-    uniform in [-1, 1].  The reference gradient is the finite-difference one,
-    floored at 1e-8 to keep the ratio meaningful near zero.
-    """
-    rng = SplitMix64(seed)
-    worst = 0.0
-    for trial in range(trials):
-        n_inputs = (CONTROLLER_INPUTS, INVERSE_INPUTS)[trial % 2]
-        net = init_network(n_inputs, learning_rate=0.15, seed=rng.next_u64())
-        x = [rng.uniform(-1.0, 1.0) for _ in range(n_inputs)]
-        t = rng.uniform(-1.0, 1.0)
-        _, gw1, gw2 = backprop_gradients(net, x, t)
-        nw1, nw2 = numeric_gradient(net, x, t, h)
-        for row, ref_row in zip(gw1 + [gw2], nw1 + [nw2]):
-            for g, ref in zip(row, ref_row):
-                worst = max(worst, abs(g - ref) / max(abs(ref), 1e-8))
-    return worst
 
 
 def cmd_lut(ns: argparse.Namespace) -> int:
@@ -269,8 +223,6 @@ def run_command(parser: _Parser, args: list[str]) -> int:
         return 0 if exc.code is None else int(exc.code)
     if ns.command == "simulate":
         return cmd_simulate(parse_config(ns))
-    if ns.command == "gradcheck":
-        return cmd_gradcheck(**typed_flags(ns, GRADCHECK_SCHEMA))
     if ns.command == "lut":
         return cmd_lut(ns)
     raise UsageError(f"unknown command {ns.command!r}")

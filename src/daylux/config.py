@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import sys
 
 from . import plant
 from .signals import D8BV_MAX, ERROR_SCALINGS
@@ -51,6 +52,7 @@ FIELDS = (
     ("out_dir", "str", "out"),
 )
 _FIELD_TYPES = {name: type_name for name, type_name, _ in FIELDS}
+SEED_MAX = 2**64 - 1
 
 
 class SimConfig:
@@ -81,12 +83,21 @@ class SimConfig:
                 )
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        # Past sys.maxsize no sequence can hold the run; say so before allocating.
+        if self.steps > sys.maxsize:
+            raise ConfigError(f"steps must be <= {sys.maxsize}, got {self.steps}")
         if not 0 <= self.e_desired <= D8BV_MAX:
             raise ConfigError(f"e_desired must be in [0, 255], got {self.e_desired}")
         for key in ("gamma_controller", "gamma_inverse"):
             gamma = getattr(self, key)
             if not (math.isfinite(gamma) and gamma > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {gamma}")
+        # SplitMix64 takes its seed modulo 2**64, so a seed outside the range
+        # would silently repeat the run of another.
+        for key in ("seed_controller", "seed_inverse", "seed_daylight"):
+            seed = getattr(self, key)
+            if not 0 <= seed <= SEED_MAX:
+                raise ConfigError(f"{key} must be in [0, {SEED_MAX}], got {seed}")
         if self.warmup < 0:
             raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         for key, allowed in ALLOWED.items():

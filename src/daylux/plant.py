@@ -17,6 +17,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 
 from .rng import SplitMix64
 from .signals import D8BV_MAX, check_d8bv, round_half_away
@@ -111,8 +112,8 @@ def synth_default_lut(
     """
     if not 120 <= e_max <= 255:
         raise ValueError(f"e_max must be in [120, 255], got {e_max}")
-    if not gamma_shape > 0:
-        raise ValueError(f"shape must be positive, got {gamma_shape}")
+    if not (math.isfinite(gamma_shape) and gamma_shape > 0):
+        raise ValueError(f"shape must be finite and > 0, got {gamma_shape}")
     # Over 256 knots cannot be strictly increasing on the 8-bit u grid.
     if not 8 <= knot_count <= D8BV_MAX + 1:
         raise ValueError(f"knots must be in [8, 256], got {knot_count}")

@@ -1,9 +1,9 @@
 """Seeded deterministic random numbers (splitmix64).
 
 Every stochastic choice in this package (weight initialisation, daylight
-trajectories, gradient-check sampling) draws from this generator rather than
-``random.Random`` so that a seed pins the exact byte-level outcome of a run
-independently of the Python version or platform.
+trajectories) draws from this generator rather than ``random.Random`` so that
+a seed pins the exact stream of draws independently of the Python version or
+platform.
 
 The algorithm is splitmix64 (Steele, Lea & Flood; public domain): the state
 advances by the 64-bit golden-ratio increment and the output is the state

@@ -1,6 +1,7 @@
 """Tiny deterministic SVG line charts.
 
-The simulator's plot output must be byte-identical across runs and machines,
+The simulator's plot output must be byte-identical across runs, on the same
+platform C library (``math.exp``, ``pow``) that produced the plotted values,
 which rules out plotting libraries that stamp versions or timestamps into
 their files.  A polyline per series, two axes and a handful of tick labels
 are all the panels need.

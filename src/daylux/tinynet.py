@@ -2,9 +2,10 @@
 
 The controller (2-3-1) and the inverse model (3-3-1) share one shape: a
 3-neuron tanh hidden layer and a single linear output.  They are trained one
-sample at a time and must behave identically on every platform, so plain
-lists of Python floats hold everything; there is deliberately no array
-library underneath.
+sample at a time, on plain lists of Python floats; there is deliberately no
+array library underneath.  A run gives the same bytes on the same platform C
+library (``math.exp``, ``pow``), which IEEE 754 does not require to round
+correctly, so other platforms may differ in the last bit.
 
 Conventions:
 
@@ -13,9 +14,10 @@ Conventions:
 * Each neuron is a row ``[w_0, ..., w_{m-1}, bias]`` over its m inputs:
   ``TinyNet.w1`` holds the 3 hidden rows over the n inputs, ``TinyNet.w2``
   the output row over the 3 hidden activations.  Gradients use the same rows.
-* A neuron's weighted sum starts from its bias and adds ``w * v`` in input
-  order.  The tanh is computed from exponentials; its derivative is taken
-  from the neuron's own output (tanh' = 1 - y**2).
+* A neuron's weighted sum s starts from its bias and adds ``w * v`` in input
+  order.  Its tanh is (1 - e) / (1 + e) with e = exp(-2*|s|), negated for
+  s < 0, and exactly +-1 once |s| >= 20, so the exponential never overflows;
+  its derivative is taken from the neuron's own output (tanh' = 1 - y**2).
 * The loss is 0.5 * (target - output)**2.  ``train_step`` returns the loss
   *before* the update, i.e. the quantity the step descends on, and takes
   every gradient from the pre-update parameters.
@@ -51,18 +53,6 @@ class TinyNet:
         return vars(self) == vars(other) if type(other) is TinyNet else NotImplemented
 
 
-def tanh(x: float) -> float:
-    """(1 - e**(-2x)) / (1 + e**(-2x)), evaluated on the decaying side so the
-    exponential never overflows."""
-    if x >= 20.0:
-        return 1.0
-    if x <= -20.0:
-        return -1.0
-    e = exp(-2.0 * abs(x))
-    t = (1.0 - e) / (1.0 + e)
-    return t if x >= 0.0 else -t
-
-
 def init_network(
     n_inputs: int,
     learning_rate: float = DEFAULT_LEARNING_RATE,
@@ -92,7 +82,7 @@ def init_network(
 def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
     """Run the network; returns (output, hidden activations).
 
-    The hidden sums are unrolled for the two input widths and ``tanh`` is
+    The hidden sums are unrolled for the two input widths and the tanh is
     inlined; both are the exact expressions the conventions above describe,
     so the result is bit-identical to the generic row loop.
     """
@@ -110,8 +100,8 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
         s0 = r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2
         s1 = r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2
         s2 = r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2
-    # h_j = tanh(s_j) with tanh()'s exact expressions and cut-offs, so even a
-    # NaN sum gives the NaN (sign bit included) that tanh() gives.
+    # h_j = tanh(s_j) with the conventions' exact expressions and cut-offs,
+    # so even a NaN sum gives the NaN (sign bit included) of the plain form.
     if s0 >= 20.0:
         h0 = 1.0
     elif s0 <= -20.0:
@@ -138,12 +128,6 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
         h2 = t if s2 >= 0.0 else -t
     w2 = net.w2
     return w2[3] + w2[0] * h0 + w2[1] * h1 + w2[2] * h2, [h0, h1, h2]
-
-
-def loss_eval(net: TinyNet, inputs, target: float) -> float:
-    """0.5 * squared output error for one sample."""
-    y, _ = forward(net, inputs)
-    return 0.5 * (float(target) - y) ** 2
 
 
 def backprop_gradients(net: TinyNet, inputs, target: float):
@@ -202,24 +186,3 @@ def train_step(net: TinyNet, inputs, target: float) -> float:
         r2[-1] -= lr * d2
         w2[3] -= lr * d
     return loss
-
-
-def numeric_gradient(net: TinyNet, inputs, target: float, h: float = 1e-5):
-    """Central-difference loss gradients, the oracle backprop is checked against.
-
-    Returns ``(grad_w1, grad_w2)`` shaped like ``net.w1`` / ``net.w2``.
-    """
-    if not (h > 0.0):
-        raise ValueError(f"step h must be positive, got {h}")
-    grads = []
-    for row in net.w1 + [net.w2]:
-        g = []
-        for i, keep in enumerate(row):
-            row[i] = keep + h
-            up = loss_eval(net, inputs, target)
-            row[i] = keep - h
-            down = loss_eval(net, inputs, target)
-            row[i] = keep
-            g.append((up - down) / (2.0 * h))
-        grads.append(g)
-    return grads[:-1], grads[-1]

@@ -4,15 +4,17 @@ Steps (a)-(g) of daylux.loop's docstring, one after another, with a generic
 row-loop n-3-1 net and a plain backprop update.  Nothing is unrolled, cached
 or shared with the loop's own code, so this stays slow and obvious.  Only the
 run's inputs come from daylux: the plant table and lut_eval, the daylight
-trajectory, the nets' initial weights and the tanh the nets are defined with.
+trajectory and the nets' initial weights.  The tanh is the gradient oracle's.
 """
 
 from math import floor, isfinite
 
+from gradient_oracle import tanh
+
 from daylux.config import build_daylight, build_lut
 from daylux.loop import StepRecord
 from daylux.plant import lut_eval
-from daylux.tinynet import init_network, tanh
+from daylux.tinynet import init_network
 
 
 class ReferenceDivergence(Exception):

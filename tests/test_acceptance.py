@@ -9,7 +9,8 @@ the shipped dynamics genuinely do not reach the stated band.
 
 import time
 
-from daylux.cli import gradcheck_max_rel_error
+from gradient_oracle import gradcheck_max_rel_error
+
 from daylux.config import SimConfig
 from daylux.loop import INVERSE_INPUTS, inverse_action, run_simulation, train_inverse
 from daylux.metrics import band_report

@@ -8,9 +8,11 @@ read here, never imported as package modules.
 
 import ast
 import importlib
+import pkgutil
 import runpy
 from pathlib import Path
 
+import daylux
 from daylux.config import SimConfig
 from daylux.loop import run_simulation
 
@@ -19,6 +21,14 @@ TRACING = runpy.run_path(str(BENCH / "tracing.py"))
 
 
 def test_every_traced_name_exists_in_daylux():
+    # The tracer skips a home module that is not loaded and finds each name by
+    # lookup, so a module or function that goes away would drop its metric
+    # without an error.  Load every daylux module, then check that each name
+    # resolves and that installing the tracer really wraps it at home.
+    modules = {
+        info.name: importlib.import_module(f"daylux.{info.name}")
+        for info in pkgutil.iter_modules(daylux.__path__)
+    }
     targets = [
         (module, name)
         for group in (TRACING["TIMED"], TRACING["COUNTED"])
@@ -29,13 +39,22 @@ def test_every_traced_name_exists_in_daylux():
     missing = [
         f"{module}.{name}"
         for module, name in targets
-        if not callable(getattr(importlib.import_module(f"daylux.{module}"), name, None))
+        if not callable(getattr(modules.get(module), name, None))
     ]
     for module, cls, method in TRACING["TIMED_METHODS"]:
-        owner = getattr(importlib.import_module(f"daylux.{module}"), cls, None)
+        owner = getattr(modules.get(module), cls, None)
         if not callable(getattr(owner, method, None)):
             missing.append(f"{module}.{cls}.{method}")
     assert missing == []
+    originals = {target: getattr(modules[target[0]], target[1]) for target in targets}
+    tracer = TRACING["Tracer"]()
+    tracer.install(TRACING["daylux_modules"]())
+    try:
+        unwrapped = [f"{m}.{n}" for (m, n), f in originals.items() if getattr(modules[m], n) is f]
+    finally:
+        tracer.uninstall()
+    assert unwrapped == []
+    assert all(getattr(modules[m], n) is f for (m, n), f in originals.items())
 
 
 def _bench_pin(name: str):

@@ -119,27 +119,16 @@ def test_missing_table_on_inspect_exits_2(tmp_path, capsys):
 
 def test_help_exits_0(capsys):
     with_code = main(["--help"])
-    capsys.readouterr()
+    assert "{simulate,lut}" in capsys.readouterr().out  # the only two commands
     assert with_code == 0
 
 
-def test_gradcheck_reports_and_passes(capsys):
-    assert main(["gradcheck", "--seed", "0", "--trials", "8"]) == 0
-    out = capsys.readouterr().out
-    assert re.fullmatch(r"gradcheck: trials=8 max_rel_err=\d\.\d{3}e[+-]\d+\n", out)
-
-
-def test_gradcheck_failure_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli_mod, "gradcheck_max_rel_error", lambda seed, trials: 1.0)
-    assert main(["gradcheck", "--trials", "4"]) == 3
-    # Nothing on stdout, so a closed stdout cannot turn the failure into exit 0.
-    failed = "gradcheck FAILED: trials=4 max_rel_err=1.000e+00 >= 1e-05\n"
-    assert capsys.readouterr() == ("", failed)
-
-
-def test_gradcheck_rejects_zero_trials(capsys):
-    assert main(["gradcheck", "--trials", "0"]) == 1
-    assert "trials" in capsys.readouterr().err
+def test_gradcheck_is_not_a_command(capsys):
+    assert main(["gradcheck"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument command: invalid choice: 'gradcheck' ")
+    assert err.count("\n") == 1
 
 
 def test_lut_generate_then_inspect(tmp_path, capsys):
@@ -177,8 +166,6 @@ def test_lut_inspect_rejects_an_out_of_range_query_before_printing(capsys):
     ("lut generate --out {out} --shape", "shape", "steep", "float"),
     ("lut generate --out {out} --knots", "knots", "x", "int"),
     ("lut inspect --query-e", "query_e", "x", "int"),
-    ("gradcheck --seed", "seed", "x", "int"),
-    ("gradcheck --trials", "trials", "1.5", "int"),
 ])
 def test_typed_subcommand_flags_go_through_the_config_converter(
     tmp_path, capsys, argv, key, value, type_name
@@ -299,6 +286,8 @@ def test_oversized_csv_field_exits_1_with_one_error_line(tmp_path, capsys, heade
 
 @pytest.mark.parametrize("key, value, internal", [
     ("shape", "-1", "gamma_shape"),
+    ("shape", "nan", "gamma_shape"),
+    ("shape", "inf", "gamma_shape"),
     ("knots", "4", "knot_count"),
 ])
 def test_lut_parameter_errors_name_the_typed_key(tmp_path, capsys, key, value, internal):
@@ -329,7 +318,7 @@ def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, messa
     ("simulate --steps 5 --steps 7 --daylight constant:30 --out-dir {out}",
      "argument --steps: given twice"),
     ("lut generate --knots 8 --out {out} --knots 16", "argument --knots: given twice"),
-    ("gradcheck --trials 2 --seed 1 --trials 3", "argument --trials: given twice"),
+    ("lut generate --out {out} --knots 8 --out {out}", "argument --out: given twice"),
     ("simulate --steps 5 --daylight fast:base=10,base=90 --out-dir {out}",
      "daylight: fast: 'base' set twice"),
 ])
@@ -398,6 +387,14 @@ def test_an_out_dir_below_a_file_exits_1_before_the_run(tmp_path, monkeypatch, c
         assert main(["simulate", "--steps", "5", "--out-dir", str(below)]) == 1
         assert capsys.readouterr() == ("", f"error: out_dir is not a directory: {taken}\n")
     assert taken.read_text() == "kept\n"
+
+
+def test_steps_past_sys_maxsize_exit_1_before_the_run(capsys):
+    argv = ["simulate", "--steps", "99999999999999999999999", "--daylight", "constant:30"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: steps must be <= {sys.maxsize}, got 99999999999999999999999\n"
+    )
 
 
 def test_a_run_too_large_for_memory_exits_1_with_one_error_line(capsys):

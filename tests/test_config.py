@@ -32,6 +32,7 @@ def test_default_config_is_valid():
 def test_validate_rejects_out_of_contract_fields():
     for field, value in (
         ("steps", 0),
+        ("steps", 99999999999999999999999),  # past sys.maxsize: no sequence can hold it
         ("e_desired", 256),
         ("gamma_controller", 0.0),
         ("gamma_inverse", -0.1),
@@ -52,6 +53,10 @@ def test_validate_rejects_out_of_contract_fields():
         ("steps", True),
         ("seed_daylight", 1.5),
         ("seed_controller", None),
+        # SplitMix64 takes seeds modulo 2**64, so these would alias in-range ones
+        ("seed_daylight", -1),
+        ("seed_controller", 2**64),
+        ("seed_inverse", 2**64 + 2),
         ("e_desired", 100.0),
         ("warmup", False),
         ("gamma_controller", True),
@@ -71,6 +76,13 @@ def test_validate_rejects_out_of_contract_fields():
             cfg.validate()
         named = str(err.value).split()[0].rstrip(":")
         assert named in (field, field.removesuffix("_source")), (field, value, str(err.value))
+
+
+def test_validate_accepts_both_ends_of_the_seed_range():
+    SimConfig(seed_controller=0, seed_inverse=2**64 - 1, seed_daylight=0).validate()
+    with pytest.raises(ConfigError) as err:
+        SimConfig(seed_daylight=-1).validate()
+    assert str(err.value) == "seed_daylight must be in [0, 18446744073709551615], got -1"
 
 
 def test_validate_accepts_int_gammas_and_path_out_dirs(tmp_path):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import daylux.loop as loop_mod
+import daylux.tinynet as tinynet_mod
 from daylux.config import SimConfig
 from daylux.loop import (
     CONTROLLER_INPUTS,
@@ -27,6 +28,7 @@ from daylux.loop import (
 )
 from daylux.plant import DaylightTrajectory, gen_daylight, lut_eval, synth_default_lut
 from daylux.report import write_trajectory_csv
+from daylux.rng import SplitMix64
 from daylux.signals import clamp8_sum
 from daylux.tinynet import init_network
 
@@ -351,3 +353,33 @@ def test_run_loop_calls_the_module_level_loop_step_once_per_step(monkeypatch):
     monkeypatch.setattr(loop_mod, "loop_step", counted)
     records, _ = run_simulation(SimConfig(steps=50))
     assert len(records) == len(calls) == 50
+
+
+INTEGER_FIELDS = StepRecord.__slots__[:9]  # the two losses are the other columns
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    return run_simulation(SimConfig())[0]
+
+
+@pytest.mark.parametrize("share", [1.0, 0.3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_run_integers_survive_a_one_ulp_exp_nudge(monkeypatch, default_run, share, seed):
+    # math.exp is the platform C library's and need not round correctly, so
+    # the bytes are only promised on the same library.  Another library's
+    # last-bit difference may move the 9-digit losses but not the 8-bit grid.
+    rng = SplitMix64(seed)
+    exact = tinynet_mod.exp
+
+    def nudged(x):
+        y = exact(x)
+        if rng.random() < share:
+            y = math.nextafter(y, math.inf if rng.randbelow(2) else -math.inf)
+        return y
+
+    monkeypatch.setattr(tinynet_mod, "exp", nudged)
+    records, _ = run_simulation(SimConfig())
+    assert [r.loss_inverse for r in records] != [r.loss_inverse for r in default_run]
+    for field in INTEGER_FIELDS:
+        assert [getattr(r, field) for r in records] == [getattr(r, field) for r in default_run]

@@ -1,6 +1,7 @@
 """Tests for the LUT plant, daylight generators, and their CSV formats."""
 
 import codecs
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,9 @@ def test_synth_lut_validation():
         synth_default_lut(e_max=100)
     with pytest.raises(ValueError):
         synth_default_lut(gamma_shape=0.0)
+    for shape in (math.nan, math.inf):  # inf would zero every knot below u=255
+        with pytest.raises(ValueError, match=f"^shape must be finite and > 0, got {shape}$"):
+            synth_default_lut(gamma_shape=shape)
     with pytest.raises(ValueError):
         synth_default_lut(knot_count=4)
     assert [u for u, _ in synth_default_lut(knot_count=256).knots] == list(range(256))

@@ -4,16 +4,10 @@ import math
 
 import pytest
 
+from gradient_oracle import loss_eval, numeric_gradient, tanh
+
 from daylux.rng import SplitMix64
-from daylux.tinynet import (
-    backprop_gradients,
-    forward,
-    init_network,
-    loss_eval,
-    numeric_gradient,
-    tanh,
-    train_step,
-)
+from daylux.tinynet import backprop_gradients, forward, init_network, train_step
 
 
 def test_tanh_matches_reference():
@@ -116,7 +110,7 @@ def test_forward_rejects_wrong_arity():
 
 
 def reference_forward(net, inputs):
-    """The generic n-3-1 forward pass: a bias-first row loop and tinynet.tanh."""
+    """The generic n-3-1 forward pass: a bias-first row loop and the oracle's tanh."""
     x = [float(v) for v in inputs]
     h = []
     for row in net.w1:
@@ -227,7 +221,7 @@ def test_numeric_gradient_rejects_bad_step():
 
 def test_train_step_is_the_backprop_update_bit_for_bit():
     # train_step fuses backward and update; backprop_gradients is the
-    # separate path gradcheck uses, so the two must never drift apart
+    # separate path the gradient check uses, so the two must never drift apart
     rng = SplitMix64(99)
     for trial in range(48):
         n = 2 + trial % 2
