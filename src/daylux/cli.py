@@ -223,9 +223,7 @@ def run_command(parser: _Parser, args: list[str]) -> int:
         return 0 if exc.code is None else int(exc.code)
     if ns.command == "simulate":
         return cmd_simulate(parse_config(ns))
-    if ns.command == "lut":
-        return cmd_lut(ns)
-    raise UsageError(f"unknown command {ns.command!r}")
+    return cmd_lut(ns)  # argparse allows only simulate and lut
 
 
 if __name__ == "__main__":

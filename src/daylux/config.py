@@ -92,8 +92,7 @@ class SimConfig:
             gamma = getattr(self, key)
             if not (math.isfinite(gamma) and gamma > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {gamma}")
-        # SplitMix64 takes its seed modulo 2**64, so a seed outside the range
-        # would silently repeat the run of another.
+        # SplitMix64 rejects these seeds as well; this check names the key.
         for key in ("seed_controller", "seed_inverse", "seed_daylight"):
             seed = getattr(self, key)
             if not 0 <= seed <= SEED_MAX:

@@ -94,9 +94,9 @@ class LoopState:
 
 
 class StepRecord:
-    """One step's signals, immutable: assignment and del raise FrozenInstanceError.
+    """One step's signals, in trajectory.csv column order.
 
-    Two records are equal, and hash alike, when every field is equal.
+    Two records are equal when every field is equal; a record has no hash.
     """
 
     __slots__ = (
@@ -108,52 +108,27 @@ class StepRecord:
         self, k, e_desired, e_daylight, e_electric, e_measured, eps, deps, u, u_im,
         loss_inverse, loss_controller,
     ) -> None:
-        fields = locals()
-        for name in StepRecord.__slots__:
-            object.__setattr__(self, name, fields[name])
+        self.k = k
+        self.e_desired = e_desired
+        self.e_daylight = e_daylight
+        self.e_electric = e_electric
+        self.e_measured = e_measured
+        self.eps = eps
+        self.deps = deps
+        self.u = u
+        self.u_im = u_im
+        self.loss_inverse = loss_inverse
+        self.loss_controller = loss_controller
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in StepRecord.__slots__)
 
     def __eq__(self, other):
-        if other.__class__ is not StepRecord:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+        return self._fields() == other._fields() if type(other) is StepRecord else NotImplemented
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in StepRecord.__slots__)
         return f"StepRecord({fields})"
-
-    def __reduce__(self):  # copy and pickle, which would otherwise set the slots
-        return StepRecord, self._fields()
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError  # only on misuse; not at start-up
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class _StepRecordFill:
-    """Mutable twin that loop_step fills and then retypes as a StepRecord.
-
-    StepRecord's own __init__ has to store every field through
-    object.__setattr__, because its __setattr__ refuses.  Plain slot stores
-    followed by `__class__ = StepRecord` cost about a twentieth of that (0.26
-    against 4.8 us per record on CPython 3.11; a whole step takes about
-    17 us).  CPython allows the retyping only between classes with the same
-    slot layout, so a twin that drifts from StepRecord raises TypeError at
-    once, and tests compare every record with a keyword-built StepRecord.
-    """
-
-    __slots__ = StepRecord.__slots__
 
 
 def controller_action(
@@ -274,19 +249,10 @@ def loop_step(
     else:
         loss_controller = 0.0
 
-    record = _StepRecordFill()  # retyped below; see _StepRecordFill
-    record.k = state.k
-    record.e_desired = e_desired
-    record.e_daylight = e_daylight_k
-    record.e_electric = e_electric
-    record.e_measured = e_measured
-    record.eps = eps
-    record.deps = deps
-    record.u = u
-    record.u_im = u_im
-    record.loss_inverse = loss_inverse
-    record.loss_controller = loss_controller
-    record.__class__ = StepRecord
+    record = StepRecord(
+        state.k, e_desired, e_daylight_k, e_electric, e_measured, eps, deps, u, u_im,
+        loss_inverse, loss_controller,
+    )
     state.eps_prev = eps
     state.deps_prev = deps
     state.u_prev = u

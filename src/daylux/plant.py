@@ -20,7 +20,7 @@ import io
 import math
 
 from .rng import SplitMix64
-from .signals import D8BV_MAX, check_d8bv, round_half_away
+from .signals import D8BV_MAX, check_d8bv, check_type, round_half_away
 
 DEFAULT_LUT_E_MAX = 180
 DEFAULT_LUT_SHAPE = 1.3
@@ -110,12 +110,12 @@ def synth_default_lut(
     Knots sit on an even u grid covering [0, 255], so e(0)=0 and e(255)=e_max.
     e_max must leave headroom above the usual 100 setpoint.
     """
-    if not 120 <= e_max <= 255:
+    if not 120 <= check_type(e_max, "e_max", "int") <= 255:
         raise ValueError(f"e_max must be in [120, 255], got {e_max}")
-    if not (math.isfinite(gamma_shape) and gamma_shape > 0):
+    if not (math.isfinite(check_type(gamma_shape, "shape", "float")) and gamma_shape > 0):
         raise ValueError(f"shape must be finite and > 0, got {gamma_shape}")
     # Over 256 knots cannot be strictly increasing on the 8-bit u grid.
-    if not 8 <= knot_count <= D8BV_MAX + 1:
+    if not 8 <= check_type(knot_count, "knots", "int") <= D8BV_MAX + 1:
         raise ValueError(f"knots must be in [8, 256], got {knot_count}")
     knots = []
     for i in range(knot_count):
@@ -164,9 +164,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
     c0 = check_d8bv(params.get("level0", 0), "level0")
     c1 = check_d8bv(params.get("level1", 100), "level1")
     if kind == "step":
-        k_switch = params.get("k_switch", length // 2)
-        if type(k_switch) is not int:
-            raise ValueError(f"k_switch must be an int, got {type(k_switch).__name__}")
+        k_switch = check_type(params.get("k_switch", length // 2), "k_switch", "int")
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
         samples = tuple(c0 if k < k_switch else c1 for k in range(length))
@@ -201,7 +199,7 @@ def _gen_fast_changes(
     for name, value in (("amplitude", amplitude), ("max_jump", max_jump)):
         if check_d8bv(value, name) < 1:
             raise ValueError(f"{name} must be in [1, 255], got {value}")
-    if not 0.0 <= step_prob <= 1.0:
+    if not 0.0 <= check_type(step_prob, "step_prob", "float") <= 1.0:
         raise ValueError(f"step_prob must be in [0, 1], got {step_prob}")
     lo = max(0, base - amplitude)
     hi = min(D8BV_MAX, base + amplitude)

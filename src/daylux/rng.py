@@ -34,7 +34,11 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        # A seed outside [0, 2**64 - 1] would alias one inside it (-1 and
+        # 2**64 - 1 give the same stream), and a bool or a float is no seed.
+        if type(seed) is not int or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an int in [0, {_MASK64}], got {seed!r}")
+        self._state = seed
 
     def next_u64(self) -> int:
         """Next raw 64-bit word of the stream."""

@@ -42,6 +42,21 @@ def check_d8bv(value: int, name: str = "value") -> int:
     raise ValueError(f"{name} must be in [0, 255], got {value}")
 
 
+def check_type(value, name: str, type_name: str):
+    """Return value if it is of type_name, else raise naming it.
+
+    "int" takes exactly an int, "float" an int or a float; a bool is neither.
+    """
+    if type_name == "int":
+        ok = type(value) is int
+    else:
+        ok = isinstance(value, (int, float)) and type(value) is not bool
+    if not ok:
+        article = "an" if type_name == "int" else "a"
+        raise ValueError(f"{name} must be {article} {type_name}, got {type(value).__name__}")
+    return value
+
+
 def scale_to_unit(value: int) -> float:
     """Map an 8-bit value onto [-1, 1]: v/127.5 - 1 (0 -> -1, 255 -> +1)."""
     check_d8bv(value)

@@ -1,7 +1,6 @@
 """Tests for the closed loop: wiring identities, step ordering, determinism."""
 
 import copy
-import dataclasses
 import hashlib
 import math
 import pickle
@@ -268,7 +267,7 @@ WIRINGS = [
 ]
 
 
-def test_step_record_is_frozen():
+def test_step_records_are_plain_slot_records():
     fields = StepRecord.__slots__
     for wiring in WIRINGS:
         recs, _ = run_simulation(SimConfig(steps=40, **wiring))
@@ -277,14 +276,11 @@ def test_step_record_is_frozen():
             assert type(r) is StepRecord
             assert not hasattr(r, "__dict__")
             built = StepRecord(**{name: getattr(r, name) for name in fields})
-            assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+            assert r == built and repr(r) == repr(built)
             assert sys.getsizeof(r) == sys.getsizeof(built) == 120
             assert pickle.loads(pickle.dumps(r)) == r == copy.copy(r)
-            frozen = dataclasses.FrozenInstanceError
-            with pytest.raises(frozen, match="^cannot assign to field 'u'$"):
-                r.u = 7
-            with pytest.raises(frozen, match="^cannot delete field 'u'$"):
-                del r.u
+            with pytest.raises(TypeError, match="^unhashable type: 'StepRecord'$"):
+                hash(r)
 
 
 def test_records_share_one_int_per_error_value():

@@ -101,6 +101,25 @@ def test_synth_lut_validation():
         synth_default_lut(knot_count=10**10)  # rejected before any knot is built
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"e_max": 150.7}, "e_max must be an int, got float"),  # not truncated to 150
+    ({"e_max": 150.0}, "e_max must be an int, got float"),
+    ({"e_max": True}, "e_max must be an int, got bool"),
+    ({"knot_count": 8.5}, "knots must be an int, got float"),
+    ({"knot_count": 16.0}, "knots must be an int, got float"),
+    ({"knot_count": True}, "knots must be an int, got bool"),
+    ({"gamma_shape": True}, "shape must be a float, got bool"),
+    ({"gamma_shape": "1.3"}, "shape must be a float, got str"),
+])
+def test_synth_lut_takes_ints_where_ints_belong(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        synth_default_lut(**kwargs)
+
+
+def test_synth_lut_takes_an_int_shape_as_a_float():
+    assert synth_default_lut(gamma_shape=2) == synth_default_lut(gamma_shape=2.0)
+
+
 def test_gen_constant():
     traj = gen_daylight("constant", 4, level=30)
     assert traj.samples == (30, 30, 30, 30)
@@ -169,6 +188,22 @@ def test_gen_daylight_validation():
                       ("fast", "max_jump")):
         with pytest.raises(ValueError, match=rf"^{key} must be an int, got float$"):
             gen_daylight(kind, 3, **{key: 30.9})  # rejected, not truncated to 30
+    for key in ("base", "amplitude", "max_jump", "level"):
+        kind = "constant" if key == "level" else "fast"
+        with pytest.raises(ValueError, match=rf"^{key} must be an int, got bool$"):
+            gen_daylight(kind, 3, **{key: True})
+    for value, name in ((True, "bool"), ("0.5", "str")):
+        with pytest.raises(ValueError, match=rf"^step_prob must be a float, got {name}$"):
+            gen_daylight("fast", 5, step_prob=value)
+    one = gen_daylight("fast", 50, step_prob=1).samples
+    assert one == gen_daylight("fast", 50, step_prob=1.0).samples
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 2, 1.5, True])
+def test_gen_daylight_rejects_a_seed_outside_64_bits_or_not_an_int(seed):
+    # -1 would walk like 2**64 - 1, and 2**64 + 2 like 2
+    with pytest.raises(ValueError, match=rf"^seed must be an int in \[0, {2**64 - 1}\], got "):
+        gen_daylight("fast", 50, seed=seed)
 
 
 def test_daylight_trajectory_validates_samples():

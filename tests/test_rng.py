@@ -74,7 +74,21 @@ def test_different_seeds_diverge():
 
 
 def test_u64_width():
-    r = SplitMix64(2**64 - 1)  # seed wraps modulo 2^64
+    r = SplitMix64(2**64 - 1)  # the largest seed
     for _ in range(200):
         v = r.next_u64()
         assert 0 <= v < 2**64
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 2, -(2**64) + 1])
+def test_a_seed_outside_64_bits_is_rejected_not_aliased(seed):
+    # -1 would give the stream of 2**64 - 1, and 2**64 + 2 that of 2
+    message = rf"^seed must be an int in \[0, {2**64 - 1}\], got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        SplitMix64(seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "2", None])
+def test_a_seed_that_is_not_an_int_is_rejected(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an int in \[0, \d+\], got "):
+        SplitMix64(seed)

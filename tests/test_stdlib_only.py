@@ -2,6 +2,7 @@
 
 It also keeps its start-up lean: every `daylux` command is a fresh process
 that pays for each module imported.
+Its sources parse at the Python version pyproject.toml declares as the floor.
 """
 
 import ast
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import daylux
 
@@ -48,3 +51,14 @@ def test_a_simulate_run_loads_neither_dataclasses_nor_inspect(tmp_path):
     run = ("import daylux.cli; "
            f"daylux.cli.main(['simulate', '--steps', '5', '--out-dir', {str(tmp_path)!r}])")
     assert loaded(run) == loaded("pass")
+
+
+def test_the_sources_parse_at_the_declared_python_floor():
+    # Only the grammar is checked: a call into a 3.11-only stdlib function
+    # still passes, because the tests run on whatever Python is installed.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject.splitlines()
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=(3, 10))

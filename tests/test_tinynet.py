@@ -83,6 +83,9 @@ def test_init_network_validation():
     for n_inputs in (1, 4):  # forward is written for the two loop shapes only
         with pytest.raises(ValueError, match=f"n_inputs must be 2 or 3, got {n_inputs}"):
             init_network(n_inputs)
+    for seed in (-1, 2**64, 1.5, True):  # -1 would build the net of seed 2**64 - 1
+        with pytest.raises(ValueError, match=r"^seed must be an int in \[0, \d+\], got "):
+            init_network(2, seed=seed)
 
 
 def test_forward_trace_shape():
