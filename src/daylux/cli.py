@@ -41,28 +41,6 @@ from .plant import (
 from .report import write_run_artifacts
 from .signals import check_d8bv
 
-# `simulate` flag help by SimConfig field; build_parser appends the allowed
-# values and the default.
-SIMULATE_HELP = {
-    "steps": "run length for generated daylight",
-    "e_desired": "setpoint illuminance, 0..255",
-    "gamma_controller": "controller learning rate",
-    "gamma_inverse": "inverse-model learning rate",
-    "seed_controller": "controller weight-init seed",
-    "seed_inverse": "inverse-model weight-init seed",
-    "seed_daylight": "daylight trajectory seed",
-    "lut_source": "plant table: synthetic[:e_max=..,shape=..,knots=..] or csv:PATH",
-    "daylight_source":
-        "disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH",
-    "warmup": "steps excluded from band metrics",
-    "error_scaling": "eps/deps normalization",
-    "inverse_target_lag": "inverse-model target is U(k-lag), lag",
-    "plant_delay": "steps between command and measured response",
-    "use_bias": "train both nets without bias terms",
-    "out_dir": "artifact directory",
-}
-
-
 class UsageError(ValueError):
     """Bad flags or arguments; maps to exit code 1."""
 
@@ -102,8 +80,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--config", type=_path, help="key = value config file; flags take precedence")
     # One flag per SimConfig field, dest = field name, no argparse default: an
     # omitted flag leaves None, so parse_config can tell it from a given one.
-    for key, _, default in FIELDS:
-        help_text = SIMULATE_HELP[key]
+    for key, _, default, help_text in FIELDS:
         if key == "use_bias":
             sim.add_argument("--no-bias", dest=key, nargs=0, const="false", help=help_text)
             continue
@@ -134,7 +111,7 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     if ns.config is not None:
         apply_settings(cfg, load_config_file(ns.config), origin=ns.config)
     # Given flags are strings and go through the same converter as config-file keys.
-    flags = {key: v for key, _, _ in FIELDS if (v := getattr(ns, key)) is not None}
+    flags = {key: v for key, *_ in FIELDS if (v := getattr(ns, key)) is not None}
     apply_settings(cfg, flags, "command line")
     cfg.validate()
     return cfg

@@ -22,36 +22,38 @@ import os
 import sys
 
 from . import plant
-from .signals import D8BV_MAX, ERROR_SCALINGS
+from .signals import D8BV_MAX, ERROR_SCALINGS, check_type
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-# SimConfig's fields in order, one (name, type name, default) row each.  The
-# `simulate` flags, the config-file keys and validate's type checks all read
-# this table.
+# SimConfig's fields in order, one (name, type name, default, help) row each.
+# The `simulate` flags and their help, the config-file keys and validate's
+# type checks all read this table; `--help` appends allowed values and default.
 FIELDS = (
-    ("steps", "int", 2000),
-    ("e_desired", "int", 100),
-    ("gamma_controller", "float", 0.15),
-    ("gamma_inverse", "float", 0.15),
+    ("steps", "int", 2000, "run length for generated daylight"),
+    ("e_desired", "int", 100, "setpoint illuminance, 0..255"),
+    ("gamma_controller", "float", 0.15, "controller learning rate"),
+    ("gamma_inverse", "float", 0.15, "inverse-model learning rate"),
     # Repo-pinned seeds: the out-of-the-box run is the fast-daylight acceptance
     # scenario, so these are part of the package's reproducibility contract.
-    ("seed_controller", "int", 2),
-    ("seed_inverse", "int", 2),
-    ("seed_daylight", "int", 2),
-    ("lut_source", "str", "synthetic"),
-    ("daylight_source", "str", "fast"),
-    ("warmup", "int", 200),
-    ("error_scaling", "str", "independent"),
-    ("inverse_target_lag", "int", 0),
-    ("plant_delay", "int", 1),
-    ("use_bias", "bool", True),
-    ("out_dir", "str", "out"),
+    ("seed_controller", "int", 2, "controller weight-init seed"),
+    ("seed_inverse", "int", 2, "inverse-model weight-init seed"),
+    ("seed_daylight", "int", 2, "daylight trajectory seed"),
+    ("lut_source", "str", "synthetic",
+     "plant table: synthetic[:e_max=..,shape=..,knots=..] or csv:PATH"),
+    ("daylight_source", "str", "fast",
+     "disturbance: constant:L | step:L0,L1,K | ramp:L0,L1 | fast[:k=v,..] | csv:PATH"),
+    ("warmup", "int", 200, "steps excluded from band metrics"),
+    ("error_scaling", "str", "independent", "eps/deps normalization"),
+    ("inverse_target_lag", "int", 0, "inverse-model target is U(k-lag), lag"),
+    ("plant_delay", "int", 1, "steps between command and measured response"),
+    ("use_bias", "bool", True, "train both nets without bias terms"),
+    ("out_dir", "str", "out", "artifact directory"),
 )
-_FIELD_TYPES = {name: type_name for name, type_name, _ in FIELDS}
+_FIELD_TYPES = {name: type_name for name, type_name, _, _ in FIELDS}
 SEED_MAX = 2**64 - 1
 
 
@@ -62,25 +64,26 @@ class SimConfig:
         unknown = values.keys() - _FIELD_TYPES.keys()
         if unknown:
             raise TypeError(f"SimConfig got unexpected keyword argument(s): {sorted(unknown)}")
-        for name, _, default in FIELDS:
+        for name, _, default, _ in FIELDS:
             setattr(self, name, values.get(name, default))
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is SimConfig else NotImplemented
 
     def __repr__(self) -> str:
-        settings = ", ".join(f"{name}={getattr(self, name)!r}" for name, _, _ in FIELDS)
+        settings = ", ".join(f"{name}={getattr(self, name)!r}" for name, *_ in FIELDS)
         return f"SimConfig({settings})"
 
     def validate(self) -> None:
         """Raise ConfigError on any out-of-contract field."""
         for key, type_name in _FIELD_TYPES.items():
             value = getattr(self, key)
-            if not _has_type(key, value, type_name):
-                article = "an" if type_name == "int" else "a"
-                raise ConfigError(
-                    f"{key} must be {article} {type_name}, got {type(value).__name__}"
-                )
+            if key == "out_dir" and isinstance(value, os.PathLike):
+                continue  # any path object names a directory
+            try:
+                check_type(value, key, type_name)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         # Past sys.maxsize no sequence can hold the run; say so before allocating.
@@ -214,23 +217,6 @@ ALLOWED = {
     "plant_delay": (0, 1),
 }
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _has_type(key: str, value, type_name: str) -> bool:
-    """Whether a SimConfig value has its field's type.
-
-    bool is an int subclass but counts as neither int nor float, int counts
-    as float, and out_dir may be any path object.
-    """
-    if type_name == "bool":
-        return type(value) is bool
-    if type(value) is bool:
-        return False
-    if type_name == "int":
-        return type(value) is int
-    if type_name == "float":
-        return isinstance(value, (int, float))
-    return isinstance(value, str) or (key == "out_dir" and isinstance(value, os.PathLike))
 
 
 def convert(key: str, value: str, schema: dict[str, str], origin: str):

@@ -149,7 +149,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
       ramp:     level0, level1
       fast:     base, amplitude, step_prob, max_jump  (seeded)
     """
-    if length < 1:
+    if check_type(length, "trajectory length", "int") < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
     if kind not in DAYLIGHT_PARAMS:
         raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")

@@ -32,6 +32,7 @@ from __future__ import annotations
 from math import exp
 
 from .rng import SplitMix64
+from .signals import check_type
 
 DEFAULT_LEARNING_RATE = 0.15
 INIT_WEIGHT_SPAN = 0.5
@@ -64,9 +65,10 @@ def init_network(
     With ``use_bias=False`` the bias slots exist but stay 0.0 and consume no
     random draws, so toggling the flag does not shift the weight stream.
     """
-    if n_inputs not in (2, 3):
+    if check_type(n_inputs, "n_inputs", "int") not in (2, 3):
         raise ValueError(f"n_inputs must be 2 or 3, got {n_inputs}")
-    if not (learning_rate > 0.0):
+    check_type(use_bias, "use_bias", "bool")
+    if not (check_type(learning_rate, "learning rate", "float") > 0.0):
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
     rng = SplitMix64(seed)
 

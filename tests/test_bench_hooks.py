@@ -14,7 +14,8 @@ from pathlib import Path
 
 import daylux
 from daylux.config import SimConfig
-from daylux.loop import run_simulation
+from daylux.loop import StepRecord, run_simulation
+from daylux.report import TRAJECTORY_HEADER
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = runpy.run_path(str(BENCH / "tracing.py"))
@@ -57,14 +58,14 @@ def test_every_traced_name_exists_in_daylux():
     assert all(getattr(modules[m], n) is f for (m, n), f in originals.items())
 
 
-def _bench_pin(name: str):
-    """The literal a top-level assignment in bench/test_bench.py gives `name`."""
-    tree = ast.parse((BENCH / "test_bench.py").read_text(encoding="utf-8"))
+def _bench_pin(name: str, source: str = "test_bench.py"):
+    """The literal a top-level assignment in bench/<source> gives `name`."""
+    tree = ast.parse((BENCH / source).read_text(encoding="utf-8"))
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
         if any(isinstance(t, ast.Name) and t.id == name for t in targets):
             return ast.literal_eval(node.value)
-    raise LookupError(f"bench/test_bench.py assigns no {name}")
+    raise LookupError(f"bench/{source} assigns no {name}")
 
 
 def test_traced_calls_per_step_match_the_benchmark_pins():
@@ -91,3 +92,12 @@ def test_traced_calls_per_step_match_the_benchmark_pins():
         assert [c["loop.loop_step"] for c in calls] == [50, 150], wiring
         per_step = {name: (calls[1][name] - calls[0][name]) / 100 for name in pins}
         assert per_step == pins, wiring
+
+
+def test_the_benchmark_names_the_same_columns_and_record_fields():
+    # bench/run.py hashes trajectories projected by column name and records
+    # read by field name, so a renamed column or field breaks every
+    # benchmark operation; here it breaks a tier-1 test instead
+    columns = _bench_pin("TRAJECTORY_COLUMNS", "run.py")
+    assert list(columns) == TRAJECTORY_HEADER.split(",")
+    assert tuple(_bench_pin("RECORD_FIELDS", "run.py")) == tuple(StepRecord.__slots__)

@@ -218,7 +218,7 @@ def test_every_config_field_has_a_simulate_flag(tmp_path):
         "--out-dir", str(tmp_path / "o"),
     ])
     cfg = parse_config(ns)
-    assert [key for key, _, default in FIELDS if getattr(cfg, key) == default] == []
+    assert [key for key, _, default, _ in FIELDS if getattr(cfg, key) == default] == []
     assert len(FIELDS) == 15
 
 
@@ -230,9 +230,9 @@ def test_omitted_flags_keep_every_config_file_value(tmp_path):
         error_scaling="shared255", inverse_target_lag=1, plant_delay=0, use_bias=False,
         out_dir=str(tmp_path / "o"),
     )
-    assert [key for key, _, default in FIELDS if getattr(want, key) == default] == []
+    assert [key for key, _, default, _ in FIELDS if getattr(want, key) == default] == []
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("".join(f"{key} = {getattr(want, key)}\n" for key, _, _ in FIELDS))
+    cfg_file.write_text("".join(f"{key} = {getattr(want, key)}\n" for key, *_ in FIELDS))
     assert parse_config(build_parser().parse_args(["simulate", "--config", str(cfg_file)])) == want
 
 
@@ -240,9 +240,10 @@ def test_simulate_flags_come_from_the_config_fields():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = subparsers.choices["simulate"]._actions
-    for key, type_name, default in FIELDS:
+    for key, type_name, default, help_text in FIELDS:
         (action,) = [a for a in actions if a.dest == key]
         assert action.default is None  # an omitted flag leaves the config-file value
+        assert action.help.startswith(help_text), action.help
         if key == "use_bias":
             assert action.option_strings == ["--no-bias"] and action.const == "false"
             continue
@@ -346,7 +347,7 @@ def test_an_empty_path_argument_exits_1_naming_it(tmp_path, monkeypatch, capsys,
 # after its flag and as a config-file key.  out_dir's one bad string is the
 # empty one; the only other is the path of an existing file, which has a test
 # of its own below.
-BAD_VALUES = [(key, "x") for key, type_name, _ in FIELDS if type_name in ("int", "float")] + [
+BAD_VALUES = [(key, "x") for key, type_name, _, _ in FIELDS if type_name in ("int", "float")] + [
     ("out_dir", ""),
     ("error_scaling", "percent"),
     ("lut_source", "poly:2"),

@@ -78,6 +78,23 @@ def test_validate_rejects_out_of_contract_fields():
         assert named in (field, field.removesuffix("_source")), (field, value, str(err.value))
 
 
+def test_validate_type_errors_name_the_key_and_both_types():
+    for field, value, message in (
+        ("steps", 2.5, "steps must be an int, got float"),
+        ("warmup", False, "warmup must be an int, got bool"),
+        ("gamma_inverse", "0.1", "gamma_inverse must be a float, got str"),
+        ("gamma_controller", True, "gamma_controller must be a float, got bool"),
+        ("use_bias", 0, "use_bias must be a bool, got int"),
+        ("lut_source", 3, "lut_source must be a str, got int"),
+        ("out_dir", b"out", "out_dir must be a str, got bytes"),
+    ):
+        cfg = SimConfig()
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == message
+
+
 def test_validate_accepts_both_ends_of_the_seed_range():
     SimConfig(seed_controller=0, seed_inverse=2**64 - 1, seed_daylight=0).validate()
     with pytest.raises(ConfigError) as err:

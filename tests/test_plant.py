@@ -195,6 +195,11 @@ def test_gen_daylight_validation():
     for value, name in ((True, "bool"), ("0.5", "str")):
         with pytest.raises(ValueError, match=rf"^step_prob must be a float, got {name}$"):
             gen_daylight("fast", 5, step_prob=value)
+    # not a 1-sample trajectory (bool) or a raw TypeError (float)
+    for kind, length in (("constant", True), ("ramp", True), ("constant", 2.0), ("fast", 3.0)):
+        name = type(length).__name__
+        with pytest.raises(ValueError, match=f"^trajectory length must be an int, got {name}$"):
+            gen_daylight(kind, length)
     one = gen_daylight("fast", 50, step_prob=1).samples
     assert one == gen_daylight("fast", 50, step_prob=1.0).samples
 

@@ -9,6 +9,7 @@ must also satisfy the plant and error identities, whatever the nets learn.
 
 from math import exp, log
 
+import reference_loop
 from reference_loop import ReferenceDivergence, run_reference
 
 from daylux.config import SimConfig, build_lut
@@ -136,3 +137,79 @@ def test_run_simulation_matches_the_reference_loop(tmp_path):
             seen[key].add(getattr(cfg, key))
     assert seen == {"daylight": set(DAYLIGHT_KINDS), "lut": {"synthetic", "csv"}, **WIRING}
     assert 0 < diverged < N_CONFIGS // 2
+
+
+def spy(monkeypatch):
+    """Log run_reference's act and train calls as (what, k, inputs, target), keyed by net name."""
+    calls = {"controller": [], "inverse model": []}
+    real_act, real_train = reference_loop.act, reference_loop.train
+
+    def act(net, x, name, k):
+        calls[name].append(("act", k, tuple(x), None))
+        return real_act(net, x, name, k)
+
+    def train(net, x, target, name, k):
+        calls[name].append(("train", k, tuple(x), target))
+        return real_train(net, x, target, name, k)
+
+    monkeypatch.setattr(reference_loop, "act", act)
+    monkeypatch.setattr(reference_loop, "train", train)
+    return calls
+
+
+def trained(calls, name):
+    """(k, inputs, target) of each training call of the named net."""
+    return [(k, x, target) for what, k, x, target in calls[name] if what == "train"]
+
+
+def d8(v: float) -> int:
+    """An 8-bit value back from its unit-scale input or target."""
+    return round((v + 1.0) * 127.5)
+
+
+def test_reference_inverse_trains_before_it_is_queried(monkeypatch):
+    calls = spy(monkeypatch)
+    run_reference(SimConfig(steps=1, daylight_source="constant:40"))
+    assert [what for what, *_ in calls["inverse model"]] == ["train", "act"]
+
+
+def test_reference_controller_training_skipped_only_at_step_zero(monkeypatch):
+    for steps, trained_at in ((1, []), (2, [1])):
+        calls = spy(monkeypatch)
+        run_reference(SimConfig(steps=steps, daylight_source="constant:40"))
+        assert [k for k, _, _ in trained(calls, "controller")] == trained_at
+
+
+def test_reference_controller_trains_on_previous_error(monkeypatch):
+    calls = spy(monkeypatch)
+    recs, _ = run_reference(SimConfig(steps=6))
+    # independent scaling: eps / 255 and deps / 510
+    seen = [(round(x[0] * 255), round(x[1] * 510)) for _, x, _ in trained(calls, "controller")]
+    # at step k the controller is fitted to the error pair observed at k-1
+    assert seen == [(r.eps, r.deps) for r in recs[:-1]]
+
+
+def test_reference_inverse_target_lag_zero_uses_current_command(monkeypatch):
+    calls = spy(monkeypatch)
+    recs, _ = run_reference(SimConfig(steps=5, inverse_target_lag=0))
+    targets = [d8(target) for _, _, target in trained(calls, "inverse model")]
+    assert targets == [r.u for r in recs]
+
+
+def test_reference_inverse_target_lag_one_uses_previous_command(monkeypatch):
+    calls = spy(monkeypatch)
+    recs, _ = run_reference(SimConfig(steps=5, inverse_target_lag=1))
+    targets = [d8(target) for _, _, target in trained(calls, "inverse model")]
+    assert targets[0] == 0  # no command issued before the run
+    assert targets[1:] == [r.u for r in recs[:-1]]
+
+
+def test_reference_inverse_trains_on_measured_history(monkeypatch):
+    calls = spy(monkeypatch)
+    recs, _ = run_reference(SimConfig(steps=4))
+    triples = [tuple(map(d8, x)) for _, x, _ in trained(calls, "inverse model")]
+    m = [r.e_measured for r in recs]
+    assert triples[0] == (m[0], m[0], m[0])  # history primed with first value
+    assert triples[1] == (m[1], m[0], m[0])
+    assert triples[2] == (m[2], m[1], m[0])
+    assert triples[3] == (m[3], m[2], m[1])

@@ -46,7 +46,8 @@ def test_trajectory_csv_layout(tmp_path):
 
 def test_step_record_fields_follow_the_trajectory_columns():
     # write_trajectory_csv names fields and loop_step fills them by position,
-    # so the two orders must agree column for column
+    # and the panel writers read each column's field by this pairing, so the
+    # two orders must agree column for column
     columns = [c.lower() for c in TRAJECTORY_HEADER.split(",")]
     assert list(StepRecord.__slots__) == columns
 
@@ -60,6 +61,25 @@ def test_panel_csv_headers(tmp_path):
     assert heads["panel_illuminance.csv"] == "k,E_desired,E_daylight,E_electric,E_measured"
     assert heads["panel_error.csv"] == "k,eps,deps"
     assert heads["panel_command.csv"] == "k,U,U_IM"
+
+
+@pytest.mark.parametrize("overrides", [{}, {"plant_delay": 0}], ids=["default", "plant_delay0"])
+def test_panel_csvs_are_the_trajectory_projected_onto_their_columns(overrides, tmp_path):
+    recs, _ = run_simulation(SimConfig(**overrides))
+    write_trajectory_csv(recs, tmp_path / "trajectory.csv")
+    rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()]
+    paths = write_panel_csvs(recs, tmp_path)
+    assert [str(p).rsplit("/", 1)[-1] for p in paths] == [
+        "panel_illuminance.csv", "panel_error.csv", "panel_command.csv",
+    ]
+    for p in paths:
+        with open(p, "rb") as fh:
+            body = fh.read()
+        header = body.split(b"\n", 1)[0].decode().split(",")
+        assert header[0] == "k" and len(header) > 1
+        idx = [rows[0].index(column) for column in header]
+        want = "".join(",".join(row[i] for i in idx) + "\n" for row in rows)
+        assert body == want.encode()
 
 
 def test_summary_text_structure():

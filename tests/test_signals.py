@@ -8,6 +8,7 @@ from daylux.signals import (
     D8BV_MAX,
     D8BV_MIN,
     check_d8bv,
+    check_type,
     clamp8_sum,
     round_half_away,
     scale_delta_error,
@@ -133,6 +134,31 @@ def test_check_d8bv_verdicts_and_messages():
         check_d8bv(-1, "u")
     with pytest.raises(ValueError, match=r"^value must be in \[0, 255\], got 256$"):
         check_d8bv(256)
+
+
+def test_check_type_verdicts_and_messages():
+    # the one typing rule: a bool is only a bool, an int is also a float
+    accepted = {
+        "int": (0, -3, 2**70),
+        "float": (0, 1.5, float("nan")),
+        "bool": (True, False),
+        "str": ("", "x"),
+    }
+    rejected = {
+        "int": (True, 1.0, Level.FIVE, "1"),
+        "float": (True, "1.0", None),
+        "bool": (1, 0, "true", None),
+        "str": (True, 3, b"x", None),
+    }
+    for type_name, values in accepted.items():
+        for value in values:
+            assert check_type(value, "x", type_name) is value
+    for type_name, values in rejected.items():
+        article = "an" if type_name == "int" else "a"
+        for value in values:
+            message = f"^x must be {article} {type_name}, got {type(value).__name__}$"
+            with pytest.raises(ValueError, match=message):
+                check_type(value, "x", type_name)
 
 
 @pytest.mark.parametrize("name, span, scale", [

@@ -83,6 +83,15 @@ def test_init_network_validation():
     for n_inputs in (1, 4):  # forward is written for the two loop shapes only
         with pytest.raises(ValueError, match=f"n_inputs must be 2 or 3, got {n_inputs}"):
             init_network(n_inputs)
+    for kwargs, message in (
+        ({"n_inputs": 2.0}, "n_inputs must be an int, got float"),  # not a raw TypeError
+        ({"n_inputs": True}, "n_inputs must be an int, got bool"),
+        ({"learning_rate": "0.1"}, "learning rate must be a float, got str"),
+        ({"learning_rate": True}, "learning rate must be a float, got bool"),
+        ({"use_bias": 1}, "use_bias must be a bool, got int"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            init_network(**{"n_inputs": 2, **kwargs})
     for seed in (-1, 2**64, 1.5, True):  # -1 would build the net of seed 2**64 - 1
         with pytest.raises(ValueError, match=r"^seed must be an int in \[0, \d+\], got "):
             init_network(2, seed=seed)
