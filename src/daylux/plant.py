@@ -15,7 +15,6 @@ other profile can be supplied as a CSV file.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 
@@ -151,7 +150,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
     """
     if check_type(length, "trajectory length", "int") < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
-    if kind not in DAYLIGHT_PARAMS:
+    if check_type(kind, "kind", "str") not in DAYLIGHT_PARAMS:
         raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")
     extras = sorted(set(params) - DAYLIGHT_PARAMS[kind].keys())
     if extras:
@@ -297,6 +296,8 @@ def read_text(path, error: type[ValueError]) -> str:
 
 def _read_csv_rows(path, header: tuple[str, ...]):
     """Return (lineno, cells) for data rows; enforce the exact header."""
+    import csv  # here, not at the top: a run without CSV inputs never loads it
+
     out = []
     reader = csv.reader(io.StringIO(read_text(path, TableFormatError), newline=""))
     header_seen = False

@@ -9,7 +9,8 @@ are all the panels need.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
+from operator import add
 
 WIDTH = 720
 HEIGHT = 360
@@ -19,6 +20,10 @@ MARGIN_T = 28
 MARGIN_B = 40
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# Points per write of a polyline: the writer never holds more than one chunk
+# of a series' text in memory.
+CHUNK_POINTS = 512
 
 
 def _fmt(x: float) -> str:
@@ -31,9 +36,10 @@ def polyline_chart(path, title: str, series, y_label: str = "") -> None:
     """Write one chart; `series` is a list of (name, list-of-numbers) pairs.
 
     All series share the x axis 0..n-1, labelled k; the y range is the joint
-    min/max padded by 5% (or a unit band when flat).
+    min/max padded by 5% (or a unit band when flat).  Each polyline streams
+    to the file CHUNK_POINTS points at a time.
     """
-    named = [(name, list(values)) for name, values in series]
+    named = [(name, values if type(values) is list else list(values)) for name, values in series]
     n = max((len(v) for _, v in named), default=0)
     # min/max see the points as floats in series order, NaNs included
     y_lo = min(map(float, chain.from_iterable(v for _, v in named)), default=0.0)
@@ -104,30 +110,29 @@ def polyline_chart(path, title: str, series, y_label: str = "") -> None:
         )
     # A chart has at most n distinct x positions and, on the 8-bit grid, a
     # few hundred distinct y values, so each is formatted once, not per point.
-    xs: list[str] = []
-    for idx, (name, values) in enumerate(named):
-        color = PALETTE[idx % len(PALETTE)]
-        if values:
-            if len(values) > len(xs):
-                xs += [_fmt(sx(i)) + "," for i in range(len(xs), len(values))]
-            ys = {v: _fmt(sy(float(v))) for v in set(values)}
-            pts = " ".join([x + ys[v] for x, v in zip(xs, values)])
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1"/>'
-            )
-        ly = MARGIN_T + 12 + 13 * idx
-        lx = MARGIN_L + plot_w - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 22}" y="{ly}" font-family="monospace" font-size="10">'
-            f"{_esc(name)}</text>"
-        )
-    out.append("</svg>")
+    # x >= MARGIN_L, so its format never gives the "-0" that _fmt guards.
+    xs = [f"{MARGIN_L + plot_w * (i / x_hi):.6g}," for i in range(n)]
+    ys = {v: _fmt(sy(float(v))) for v in set(chain.from_iterable(v for _, v in named))}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
+        for idx, (name, values) in enumerate(named):
+            color = PALETTE[idx % len(PALETTE)]
+            if values:
+                # map stops at its shorter input: a short series ends at its last point
+                pts = map(add, xs, map(ys.__getitem__, values))
+                fh.write('<polyline points="' + " ".join(islice(pts, CHUNK_POINTS)))
+                while chunk := " ".join(islice(pts, CHUNK_POINTS)):
+                    fh.write(" " + chunk)
+                fh.write(f'" fill="none" stroke="{color}" stroke-width="1"/>\n')
+            ly = MARGIN_T + 12 + 13 * idx
+            lx = MARGIN_L + plot_w - 150
+            fh.write(
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="2"/>\n'
+                f'<text x="{lx + 22}" y="{ly}" font-family="monospace" font-size="10">'
+                f"{_esc(name)}</text>\n"
+            )
+        fh.write("</svg>\n")
 
 
 def _esc(text: str) -> str:

@@ -29,7 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
-from math import exp
+from math import exp, isfinite
 
 from .rng import SplitMix64
 from .signals import check_type
@@ -70,6 +70,8 @@ def init_network(
     check_type(use_bias, "use_bias", "bool")
     if not (check_type(learning_rate, "learning rate", "float") > 0.0):
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    if not isfinite(learning_rate):
+        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
     rng = SplitMix64(seed)
 
     def row(width: int) -> list[float]:

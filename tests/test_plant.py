@@ -204,6 +204,13 @@ def test_gen_daylight_validation():
     assert one == gen_daylight("fast", 50, step_prob=1.0).samples
 
 
+@pytest.mark.parametrize("kind, name", [(["fast"], "list"), (None, "NoneType"), (1, "int")])
+def test_gen_daylight_rejects_a_kind_that_is_not_a_str(kind, name):
+    # an unhashable kind would otherwise end in a raw TypeError from the lookup
+    with pytest.raises(ValueError, match=rf"^kind must be a str, got {name}$"):
+        gen_daylight(kind, 5)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 2, 1.5, True])
 def test_gen_daylight_rejects_a_seed_outside_64_bits_or_not_an_int(seed):
     # -1 would walk like 2**64 - 1, and 2**64 + 2 like 2

@@ -1,9 +1,14 @@
 """Tests for the artifact writers: CSV formats, summary text, SVG output."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import daylux
 from daylux.config import SimConfig
 from daylux.loop import StepRecord, run_simulation
 from daylux.metrics import band_report
@@ -160,3 +165,31 @@ def test_panel_svg_digests_are_frozen(overrides, digests, tmp_path):
         with open(p, "rb") as fh:
             got[p.rsplit("/", 1)[-1]] = hashlib.sha256(fh.read()).hexdigest()
     assert got == digests
+
+
+# The tracemalloc peak of writing the default run's artifacts in a fresh
+# process.  The streaming SVG writer read about 286 KB on CPython 3.11; this
+# bound gives it about 25% headroom, and a writer that joins each SVG file in
+# memory (about 666 KB) fails it.
+ARTIFACTS_PEAK_BOUND = 360_000
+
+PEAK_PROBE = """
+import sys, tracemalloc
+from daylux import SimConfig, run_simulation
+from daylux.report import write_run_artifacts
+cfg = SimConfig()
+records, _ = run_simulation(cfg)
+tracemalloc.start()
+write_run_artifacts(records, cfg.warmup, sys.argv[1])
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_writing_the_default_artifacts_stays_in_bounded_memory(tmp_path):
+    child = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parents[1])},
+    )
+    peak = int(child.stdout.split()[-1])
+    assert peak < ARTIFACTS_PEAK_BOUND, f"write_run_artifacts peaked at {peak} B"

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import daylux
+from daylux.plant import gen_daylight, save_daylight_csv, save_lut_csv, synth_default_lut
 
 PACKAGE = Path(daylux.__file__).parent
 
@@ -35,22 +36,37 @@ def test_every_absolute_import_is_standard_library():
     assert outside == []
 
 
-def test_a_simulate_run_loads_neither_dataclasses_nor_inspect(tmp_path):
+PROBE = "import sys; {}; print(sorted({{'csv', 'dataclasses', 'inspect'}} & set(sys.modules)))"
+
+
+def loaded(code: str) -> str:
+    """Which of csv, dataclasses and inspect a fresh interpreter has loaded after code."""
+    child = subprocess.run(
+        [sys.executable, "-c", PROBE.format(code)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    return child.stdout.splitlines()[-1]
+
+
+def simulate(out_dir, *options: str) -> str:
+    argv = ["simulate", "--steps", "5", "--out-dir", str(out_dir), *options]
+    return f"import daylux.cli; assert daylux.cli.main({argv!r}) == 0"
+
+
+def test_a_simulate_run_loads_neither_dataclasses_inspect_nor_csv(tmp_path):
     # dataclasses, with the inspect, ast, dis and tokenize it imports, costs
-    # about 15 ms per CLI run; nothing the package does needs them.
-    probe = "import sys; {}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    # about 15 ms per CLI run, and csv about 1 ms and 76 KB; a run without
+    # CSV inputs needs none of them.
+    assert loaded(simulate(tmp_path)) == loaded("pass")
 
-    def loaded(code: str) -> str:
-        child = subprocess.run(
-            [sys.executable, "-c", probe.format(code)],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        )
-        return child.stdout.splitlines()[-1]
 
-    run = ("import daylux.cli; "
-           f"daylux.cli.main(['simulate', '--steps', '5', '--out-dir', {str(tmp_path)!r}])")
-    assert loaded(run) == loaded("pass")
+def test_csv_inputs_load_csv_when_they_are_read(tmp_path):
+    save_lut_csv(synth_default_lut(), tmp_path / "lut.csv")
+    save_daylight_csv(gen_daylight("fast", 5), tmp_path / "daylight.csv")
+    for option, name in (("--lut", "lut.csv"), ("--daylight", "daylight.csv")):
+        run = simulate(tmp_path / "out", option, f"csv:{tmp_path / name}")
+        assert loaded(run) == "['csv']"
 
 
 def test_the_sources_parse_at_the_declared_python_floor():

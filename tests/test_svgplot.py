@@ -1,12 +1,16 @@
 """polyline_chart against a per-point reference over seeded random series.
 
-The reference below formats every point on its own; the writer under test
-formats each x index and each distinct y value once.  Both must produce the
-same bytes for any series set.
+The reference below formats every point on its own and joins the whole file
+in memory; the writer under test formats each x index and each distinct y
+value once and streams each polyline in chunks of CHUNK_POINTS points.  Both
+must produce the same bytes for any series set.
 """
+
+import pytest
 
 from daylux.rng import SplitMix64
 from daylux.svgplot import (
+    CHUNK_POINTS,
     HEIGHT,
     MARGIN_B,
     MARGIN_L,
@@ -178,3 +182,30 @@ def test_chart_bytes_match_per_point_reference(tmp_path):
         expected = reference_chart("T & <t>", build(specs), y_label=y_label)
         assert path.read_bytes() == expected.encode("utf-8"), f"case {case}: {specs!r}"
 
+
+
+# Series lengths of one chart around the chunk seams: one short of a chunk,
+# exactly one, one past it, about three chunks, and series that end on
+# either side of a seam while a longer one runs on.
+SEAM_CASES = [
+    (CHUNK_POINTS - 1,),
+    (CHUNK_POINTS,),
+    (CHUNK_POINTS + 1,),
+    (3 * CHUNK_POINTS + 5,),
+    (CHUNK_POINTS + 1, CHUNK_POINTS, CHUNK_POINTS - 1),
+    (3 * CHUNK_POINTS, 2 * CHUNK_POINTS + 1, 2 * CHUNK_POINTS, 1),
+]
+
+
+@pytest.mark.parametrize("lengths", SEAM_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_chart_bytes_match_per_point_reference_across_chunk_seams(lengths, tmp_path):
+    rng = SplitMix64(SEED + sum(lengths))
+    # every other series is passed as a generator
+    specs = [
+        (NAMES[i % len(NAMES)], [random_value(rng) for _ in range(n)], i % 2 == 1)
+        for i, n in enumerate(lengths)
+    ]
+    path = tmp_path / "chart.svg"
+    polyline_chart(path, "seams", build(specs), y_label="lx_d8bv")
+    expected = reference_chart("seams", build(specs), y_label="lx_d8bv")
+    assert path.read_bytes() == expected.encode("utf-8")
