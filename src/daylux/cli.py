@@ -133,7 +133,7 @@ def typed_flags(ns: argparse.Namespace, schema: dict[str, str]) -> dict:
 def cmd_simulate(cfg: SimConfig) -> int:
     records, _nets = run_simulation(cfg)
     artifacts = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
-    print(f"wrote {artifacts['trajectory']} ({len(records)} rows)")
+    print(f"wrote {artifacts['trajectory']} ({artifacts['report'].n_steps} rows)")
     for p in artifacts["panels"] + artifacts["svgs"]:
         print(f"wrote {p}")
     print(f"wrote {artifacts['summary']}")

@@ -15,21 +15,25 @@ from __future__ import annotations
 
 import math
 
+from .signals import check_type
+
 WIDE_BAND = (-11, 9)
 NARROW_BAND = (-5, 5)
 PERCEPTION_BAND = (93, 107)
 
 
 class BandReport:
-    """The band statistics of one run; see band_report.
+    """The statistics of one run; see band_report.
 
+    n_steps counts every record, n_steady those past the warm-up cut.
     frac_in_shell is the share in the wide band but outside the narrow one.
     """
 
-    def __init__(self, warmup_steps: int, n_steady: int, eps_min: int, eps_max: int,
-                 frac_in_wide: float, frac_in_narrow: float, frac_in_shell: float,
-                 frac_meas_in_perception: float, rms_eps: float, valid: bool) -> None:
+    def __init__(self, warmup_steps: int, n_steps: int, n_steady: int, eps_min: int,
+                 eps_max: int, frac_in_wide: float, frac_in_narrow: float, frac_in_shell: float,
+                 frac_meas_in_perception: float, rms_eps: float) -> None:
         self.warmup_steps = warmup_steps
+        self.n_steps = n_steps
         self.n_steady = n_steady
         self.eps_min = eps_min
         self.eps_max = eps_max
@@ -38,38 +42,35 @@ class BandReport:
         self.frac_in_shell = frac_in_shell
         self.frac_meas_in_perception = frac_meas_in_perception
         self.rms_eps = rms_eps
-        self.valid = valid
+        self.valid = n_steady > 0
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is BandReport else NotImplemented
 
 
 def band_report(records, warmup_steps: int) -> BandReport:
-    """Band statistics over records with k >= warmup_steps.
+    """Statistics of a run, in one pass over any iterable of records.
 
-    When nothing survives the cut the report carries n_steady=0, zero
-    fractions and valid=False rather than raising; a saturated or truncated
-    run still gets an honest summary.
+    The band statistics cover records with k >= warmup_steps.  When nothing
+    survives the cut the report carries n_steady=0, zero fractions and
+    valid=False rather than raising; a saturated or truncated run still gets
+    an honest summary.
     """
+    check_type(warmup_steps, "warmup_steps", "int")
     if warmup_steps < 0:
         raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
-    steady = [r for r in records if r.k >= warmup_steps]
-    n = len(steady)
-    if n == 0:
-        return BandReport(warmup_steps, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
-    n_wide = 0
-    n_narrow = 0
-    n_shell = 0
-    n_percep = 0
+    n_steps = n = n_wide = n_narrow = n_shell = n_percep = 0
     sq = 0.0
-    eps_min = steady[0].eps
-    eps_max = steady[0].eps
-    for r in steady:
+    eps_min = eps_max = 0  # the first steady record replaces both
+    for n_steps, r in enumerate(records, 1):
+        if r.k < warmup_steps:
+            continue
         e = r.eps
-        if e < eps_min:
+        if not n or e < eps_min:
             eps_min = e
-        if e > eps_max:
+        if not n or e > eps_max:
             eps_max = e
+        n += 1
         if WIDE_BAND[0] <= e <= WIDE_BAND[1]:  # the narrow band lies inside it
             n_wide += 1
             if NARROW_BAND[0] <= e <= NARROW_BAND[1]:
@@ -78,19 +79,10 @@ def band_report(records, warmup_steps: int) -> BandReport:
                 n_shell += 1
         if PERCEPTION_BAND[0] <= r.e_measured <= PERCEPTION_BAND[1]:
             n_percep += 1
-        sq += e * e
-    return BandReport(
-        warmup_steps=warmup_steps,
-        n_steady=n,
-        eps_min=eps_min,
-        eps_max=eps_max,
-        frac_in_wide=n_wide / n,
-        frac_in_narrow=n_narrow / n,
-        frac_in_shell=n_shell / n,
-        frac_meas_in_perception=n_percep / n,
-        rms_eps=math.sqrt(sq / n),
-        valid=True,
-    )
+        sq += e * e  # in record order, so rms_eps is the same float on every run
+    d = n or 1  # no steady record: every count is 0, so every fraction is 0.0
+    return BandReport(warmup_steps, n_steps, n, eps_min, eps_max, n_wide / d, n_narrow / d,
+                      n_shell / d, n_percep / d, math.sqrt(sq / d))
 
 
 def extreme_rarity(records, warmup_steps: int) -> float:

@@ -314,6 +314,8 @@ def _read_csv_rows(path, header: tuple[str, ...]):
                     )
                 header_seen = True
                 continue
+            if len(cells) != len(header):
+                raise TableFormatError(f"{path}: expected {len(header)} cells at line {lineno}")
             out.append((lineno, cells))
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise TableFormatError(f"{path}: {exc} at line {reader.line_num}") from None
@@ -323,8 +325,6 @@ def _read_csv_rows(path, header: tuple[str, ...]):
 
 
 def _int_cell(path, lineno: int, cells: list[str], idx: int, name: str) -> int:
-    if len(cells) <= idx:
-        raise TableFormatError(f"{path}: missing column {name!r} at line {lineno}")
     try:
         return int(cells[idx])
     except ValueError:

@@ -91,12 +91,11 @@ def write_panel_svgs(records, out_dir) -> list[str]:
     return paths
 
 
-def summary_text(records, report: BandReport) -> str:
+def summary_text(report: BandReport) -> str:
     """Human-readable digest followed by the machine-readable block."""
-    total = len(records)
     shell = report.frac_in_shell
     lines = [
-        f"steps: {total} total, {report.n_steady} steady (warmup {report.warmup_steps})",
+        f"steps: {report.n_steps} total, {report.n_steady} steady (warmup {report.warmup_steps})",
     ]
     if report.valid:
         lines += [
@@ -122,14 +121,14 @@ def summary_text(records, report: BandReport) -> str:
 
 def write_run_artifacts(records, warmup_steps: int, out_dir) -> dict[str, object]:
     """Write every artifact of a run into out_dir; returns paths, report and summary text."""
+    report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
     os.makedirs(out_dir, exist_ok=True)
     traj = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(records, traj)
     panels = write_panel_csvs(records, out_dir)
     svgs = write_panel_svgs(records, out_dir)
-    report = band_report(records, warmup_steps)
     summary = os.path.join(out_dir, "summary.txt")
-    text = summary_text(records, report)
+    text = summary_text(report)
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return {

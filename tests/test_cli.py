@@ -42,6 +42,14 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert len(lines) == 41
 
 
+def test_a_warmup_past_the_run_still_counts_every_step(tmp_path, capsys):
+    code, out = run_simulate(tmp_path, "--warmup", "300", steps=150)
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert f"wrote {out}/trajectory.csv (150 rows)" in stdout
+    assert "steps: 150 total, 0 steady (warmup 300)" in stdout
+
+
 def test_bare_flags_imply_simulate(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["--steps", "5", "--daylight", "constant:30", "--out-dir", str(out)])

@@ -105,6 +105,24 @@ def test_negative_warmup_rejected():
         extreme_rarity([], -1)
 
 
+@pytest.mark.parametrize("warmup", [True, 2.5, "2"])
+def test_warmup_must_be_an_int(warmup):
+    with pytest.raises(ValueError, match="^warmup_steps must be an int, got "):
+        band_report([rec(0, 0)], warmup)
+
+
+def test_one_pass_over_a_generator_equals_the_list():
+    recs = [rec(k, (k % 25) - 12, e_measured=88 + k % 24) for k in range(60)]
+    assert band_report((r for r in recs), 20) == band_report(recs, 20)
+
+
+def test_n_steps_counts_warmup_records_too():
+    recs = [rec(k, 0) for k in range(30)]
+    assert band_report(recs, 10).n_steps == 30
+    assert band_report(recs, 100).n_steps == 30  # nothing steady, every record counted
+    assert band_report([], 0).n_steps == 0
+
+
 def test_record_order_does_not_matter():
     recs = [rec(k, (-1) ** k * (k % 13)) for k in range(60)]
     rep_fwd = band_report(recs, 20)
@@ -132,7 +150,7 @@ def test_shell_plus_narrow_equals_wide():
 
 def test_kv_block_format():
     recs = [rec(k, 0) for k in range(10)]
-    block = summary_text(recs, band_report(recs, 2)).split("\n\n")[1]
+    block = summary_text(band_report(recs, 2)).split("\n\n")[1]
     assert block.splitlines() == [
         "warmup_steps=2",
         "n_steady=8",
@@ -145,5 +163,5 @@ def test_kv_block_format():
         "valid=1",
         "extreme_shell_frac=0",
     ]
-    nothing_steady = summary_text(recs, band_report(recs, 20)).split("\n\n")[1]
+    nothing_steady = summary_text(band_report(recs, 20)).split("\n\n")[1]
     assert nothing_steady.splitlines()[-3:] == ["rms_eps=0", "valid=0", "extreme_shell_frac=0"]

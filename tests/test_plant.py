@@ -257,6 +257,25 @@ def test_lut_csv_errors_name_the_line(tmp_path):
     assert "integer" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_lut_csv, "u,e\n0,0\n255,180,x\n"),
+        (load_lut_csv, "u,e\n0,0\n255\n"),
+        (load_lut_csv, "u,e\n0,0\n255,180,\n"),
+        (load_daylight_csv, "k,e\n0,5\n1,6,99\n"),
+        (load_daylight_csv, "k,e\n0,5\n1\n"),
+    ],
+    ids=["lut-3-cells", "lut-1-cell", "lut-trailing-comma", "daylight-3-cells", "daylight-1-cell"],
+)
+def test_csv_rows_need_exactly_the_header_cells(tmp_path, loader, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(TableFormatError) as err:
+        loader(path)
+    assert str(err.value) == f"{path}: expected 2 cells at line 3"
+
+
 def test_lut_csv_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "lut.csv"
     path.write_text("# measured 2026-08-01\nu,e\n\n0,0\n# mid\n255,180\n")

@@ -90,13 +90,21 @@ def test_panel_csvs_are_the_trajectory_projected_onto_their_columns(overrides, t
 def test_summary_text_structure():
     recs = sample_records(300)
     rep = band_report(recs, 200)
-    text = summary_text(recs, rep)
+    text = summary_text(rep)
     assert text.startswith("steps: 300 total, 100 steady (warmup 200)")
     assert "eps in wide band [-11, 9]:" in text
     assert "eps in narrow band [-5, 5]:" in text
     assert "E_measured in perception band [93, 107]:" in text
     assert "frac_in_wide=" in text  # machine block rides below the prose
     assert "extreme_shell_frac=" in text
+
+
+@pytest.mark.parametrize("warmup", [-1, True])
+def test_a_bad_warmup_writes_no_artifact(tmp_path, warmup):
+    recs = sample_records(20)
+    with pytest.raises(ValueError, match="warmup_steps"):
+        write_run_artifacts(recs, warmup, tmp_path / "run")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_run_artifacts_creates_everything(tmp_path):
