@@ -38,7 +38,7 @@ from .plant import (
     save_lut_csv,
     synth_default_lut,
 )
-from .report import write_run_artifacts
+from .report import ARTIFACT_NAMES, write_run_artifacts
 from .signals import check_d8bv
 
 class UsageError(ValueError):
@@ -131,6 +131,11 @@ def typed_flags(ns: argparse.Namespace, schema: dict[str, str]) -> dict:
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
+    # A run that fails leaves no artifacts, so none of an earlier run's may stay.
+    for name in ARTIFACT_NAMES:
+        path = os.path.join(cfg.out_dir, name)
+        if os.path.isfile(path):
+            os.remove(path)
     records, _nets = run_simulation(cfg)
     artifacts = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
     print(f"wrote {artifacts['trajectory']} ({artifacts['report'].n_steps} rows)")

@@ -16,7 +16,6 @@ trajectory brings its own length and overrides `steps` for the run.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import sys
@@ -191,11 +190,7 @@ def load_config_file(path) -> dict[str, str]:
     """Read `key = value` lines; returns raw strings keyed by name."""
     settings: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    lines = io.StringIO(plant.read_text(path, ConfigError), newline=None)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in plant.read_lines(path, ConfigError):
         if "=" not in line:
             raise ConfigError(f"{path}: expected key = value at line {lineno}: {line!r}")
         key, _, value = line.partition("=")

@@ -15,7 +15,6 @@ other profile can be supplied as a CSV file.
 from __future__ import annotations
 
 import codecs
-import io
 import math
 
 from .rng import SplitMix64
@@ -223,12 +222,9 @@ def _gen_fast_changes(
 
 def load_lut_csv(path) -> ProcessLut:
     """Read a `u,e` table; validation failures name the 1-based line."""
-    rows = _read_csv_rows(path, header=("u", "e"))
     knots = []
     prev_u = prev_e = -1
-    for lineno, cells in rows:
-        u = _int_cell(path, lineno, cells, 0, "u")
-        e = _int_cell(path, lineno, cells, 1, "e")
+    for lineno, u, e in _read_int_rows(path, ("u", "e")):
         if not 0 <= u <= D8BV_MAX:
             raise TableFormatError(f"{path}: u out of [0, 255] at line {lineno}")
         if not 0 <= e <= D8BV_MAX:
@@ -246,89 +242,83 @@ def load_lut_csv(path) -> ProcessLut:
 
 
 def save_lut_csv(lut: ProcessLut, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("u,e\n")
-        for u, e in lut.knots:
-            fh.write(f"{u},{e}\n")
+    _write_int_rows(path, ("u", "e"), lut.knots)
 
 
 def load_daylight_csv(path) -> DaylightTrajectory:
     """Read a `k,e` trajectory; k must run 0,1,2,... without gaps."""
-    rows = _read_csv_rows(path, header=("k", "e"))
     samples = []
-    expect_k = 0
-    for lineno, cells in rows:
-        k = _int_cell(path, lineno, cells, 0, "k")
-        e = _int_cell(path, lineno, cells, 1, "e")
-        if k != expect_k:
+    for lineno, k, e in _read_int_rows(path, ("k", "e")):
+        if k != len(samples):
             raise TableFormatError(
-                f"{path}: k must be consecutive from 0, expected {expect_k} at line {lineno}"
+                f"{path}: k must be consecutive from 0, expected {len(samples)} at line {lineno}"
             )
         if not 0 <= e <= D8BV_MAX:
             raise TableFormatError(f"{path}: e out of [0, 255] at line {lineno}")
         samples.append(e)
-        expect_k += 1
     return DaylightTrajectory(tuple(samples))
 
 
 def save_daylight_csv(traj: DaylightTrajectory, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,e\n")
-        for k, e in enumerate(traj.samples):
-            fh.write(f"{k},{e}\n")
+    _write_int_rows(path, ("k", "e"), enumerate(traj.samples))
 
 
-def read_text(path, error: type[ValueError]) -> str:
-    """The whole file decoded as UTF-8; a bad byte raises `error` naming its line."""
+def read_lines(path, error: type[ValueError]):
+    """Yield (line number, stripped text) for each line that is not blank or a `#` comment.
+
+    Every input file reads through here.  A newline, a carriage return and
+    the pair of them each end a line.  The file must be UTF-8: a bad byte
+    raises `error` naming its line.
+    """
     with open(path, "rb") as fh:
         # Excel's "CSV UTF-8" starts with a byte-order mark.  Cutting it from
         # the bytes, not in the decoder, keeps a decode error's offset an index
         # into data.
         data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
-        return data.decode("utf-8")
+        text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        # Count lines as the parsers do: \r and \r\n end a line too.
-        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
-        line = before.count("\n") + 1
-        raise error(f"{path}: invalid UTF-8 byte 0x{data[exc.start]:02x} at line {line}") from None
+        text, bad = data[: exc.start].decode("utf-8"), exc.start  # the text before it
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if bad is not None:
+        raise error(f"{path}: invalid UTF-8 byte 0x{data[bad]:02x} at line {len(lines)}")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
-def _read_csv_rows(path, header: tuple[str, ...]):
-    """Return (lineno, cells) for data rows; enforce the exact header."""
-    import csv  # here, not at the top: a run without CSV inputs never loads it
+def _read_int_rows(path, header: tuple[str, str]):
+    """Yield (line number, a, b) for the rows of a two-column integer table.
 
-    out = []
-    reader = csv.reader(io.StringIO(read_text(path, TableFormatError), newline=""))
-    header_seen = False
-    try:
-        for cells in reader:
-            lineno = reader.line_num  # physical, also after a multi-line quoted field
-            if not cells or (cells[0].lstrip().startswith("#")):
-                continue
-            cells = [c.strip() for c in cells]
-            if not header_seen:
-                if tuple(c.lower() for c in cells) != header:
-                    raise TableFormatError(
-                        f"{path}: expected header {','.join(header)!r} at line {lineno}"
-                    )
-                header_seen = True
-                continue
-            if len(cells) != len(header):
-                raise TableFormatError(f"{path}: expected {len(header)} cells at line {lineno}")
-            out.append((lineno, cells))
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise TableFormatError(f"{path}: {exc} at line {reader.line_num}") from None
-    if not header_seen:
+    The first line read must be `header`; every later one is two bare
+    integer cells.
+    """
+    lines = read_lines(path, TableFormatError)
+    for lineno, line in lines:
+        if tuple(c.strip().lower() for c in line.split(",")) != header:
+            raise TableFormatError(f"{path}: expected header {','.join(header)!r} at line {lineno}")
+        break
+    else:
         raise TableFormatError(f"{path}: empty file, expected header {','.join(header)!r}")
-    return out
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise TableFormatError(f"{path}: expected 2 cells at line {lineno}")
+        values = []
+        for name, cell in zip(header, cells):
+            try:
+                values.append(int(cell))
+            except ValueError:  # also a cell past int()'s digit limit
+                raise TableFormatError(
+                    f"{path}: column {name!r} must be an integer, "
+                    f"got {cell.strip()[:32]!r} at line {lineno}"
+                ) from None
+        yield lineno, *values
 
 
-def _int_cell(path, lineno: int, cells: list[str], idx: int, name: str) -> int:
-    try:
-        return int(cells[idx])
-    except ValueError:
-        raise TableFormatError(
-            f"{path}: column {name!r} must be an integer at line {lineno}, got {cells[idx]!r}"
-        ) from None
-
+def _write_int_rows(path, header: tuple[str, str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for a, b in rows:
+            fh.write(f"{a},{b}\n")

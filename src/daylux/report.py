@@ -38,6 +38,13 @@ PANELS = (
     ("command", "Command", "V_d8bv", ("U", "U_IM"), ("U", "U_IM")),
 )
 
+# Every file write_run_artifacts writes into out_dir.
+ARTIFACT_NAMES = (
+    "trajectory.csv",
+    *(f"panel_{stem}.{ext}" for ext in ("csv", "svg") for stem, *_ in PANELS),
+    "summary.txt",
+)
+
 # Each panel CSV's row getter: k, then the panel's columns.  Built once: a
 # getter built per call raised the sweep benchmark's peak RSS by about 0.2 MB.
 _CSV_CELLS = {

@@ -418,6 +418,16 @@ ARTIFACTS = sorted(f"panel_{p}.{ext}" for p in PANELS for ext in ("csv", "svg"))
 ARTIFACTS += ["summary.txt", "trajectory.csv"]
 
 
+def test_a_failed_run_leaves_none_of_an_earlier_runs_artifacts(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["simulate", "--steps", "50", "--out-dir", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ARTIFACTS
+    (out / "notes.txt").write_text("not an artifact\n")
+    assert main(["simulate", "--steps", "200", "--gamma-controller", "50", "--out-dir", str(out)]) == 1
+    assert "diverged at step k=69" in capsys.readouterr().err
+    assert os.listdir(out) == ["notes.txt"]  # every artifact name went, and only those
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     "lut inspect",

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from daylux.config import ConfigError, load_config_file
 from daylux.plant import (
     DaylightTrajectory,
     ProcessLut,
@@ -313,10 +314,59 @@ def test_oversized_csv_field_is_a_table_format_error(tmp_path):
 
 def test_csv_line_numbers_count_physical_lines(tmp_path):
     p = tmp_path / "day.csv"
-    p.write_text('k,e\n0,"30\n"\n1,x\n')  # record 2 spans lines 2-3
+    p.write_text("k,e\n\n0,30\n1,x\n")  # the skipped blank line 2 still counts
     with pytest.raises(TableFormatError) as err:
         load_daylight_csv(p)
-    assert str(err.value) == f"{p}: column 'e' must be an integer at line 4, got 'x'"
+    assert str(err.value) == f"{p}: column 'e' must be an integer, got 'x' at line 4"
+
+
+# The one line rule holds for each file a user hands in: its reader, the
+# lines of a good file and what the reader makes of them.
+READERS = {
+    "lut": (lambda p: load_lut_csv(p).knots, ["u,e", "0,0", "255,180"], ((0, 0), (255, 180))),
+    "daylight": (lambda p: load_daylight_csv(p).samples, ["k,e", "0,30", "1,31"], (30, 31)),
+    "config": (load_config_file, ["steps = 5", "warmup = 1"], {"steps": "5", "warmup": "1"}),
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_whitespace_only_and_indented_comment_lines_are_skipped(tmp_path, name):
+    reader, lines, expected = READERS[name]
+    p = tmp_path / "input"
+    p.write_text("\n".join([lines[0], " \t ", *lines[1:], "   # indented comment", ""]))
+    assert reader(p) == expected
+
+
+@pytest.mark.parametrize("name", list(READERS))
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_numbers_count_every_line_ending_alike(tmp_path, name, ending):
+    reader, lines, _ = READERS[name]
+    p = tmp_path / "input"
+    # a blank line and a comment before the second good line, then a bad line 5
+    p.write_bytes(ending.join([lines[0], "", "# note", lines[1], "x x", ""]).encode())
+    with pytest.raises((TableFormatError, ConfigError), match=" at line 5"):
+        reader(p)
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (load_lut_csv, 'u,e\n"0",0\n255,180\n', "column 'u' must be an integer, got '\"0\"' at line 2"),
+    (load_daylight_csv, 'k,e\n0,"30"\n', "column 'e' must be an integer, got '\"30\"' at line 2"),
+    (load_daylight_csv, 'k,e\n0,30\n1,"31\n"\n', "column 'e' must be an integer, got '\"31' at line 3"),
+], ids=["lut", "daylight", "daylight-spanning-lines"])
+def test_a_quoted_cell_is_rejected_naming_column_and_line(tmp_path, loader, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(TableFormatError) as err:
+        loader(p)
+    assert str(err.value) == f"{p}: {message}"
+
+
+def test_a_long_non_integer_cell_is_echoed_cut_to_32_characters(tmp_path):
+    p = tmp_path / "day.csv"
+    p.write_text("k,e\n0," + "x" * 200_000 + "\n")
+    with pytest.raises(TableFormatError) as err:
+        load_daylight_csv(p)
+    assert str(err.value) == f"{p}: column 'e' must be an integer, got '{'x' * 32}' at line 2"
 
 
 def test_non_utf8_csv_is_a_table_format_error(tmp_path):

@@ -1,14 +1,19 @@
-"""README's examples run as written, print what it quotes, and its Layout is the package."""
+"""README's examples run as written, print what it quotes, its regime table
+is what the runs measure, and its Layout is the package."""
 
 import re
 import shlex
 from pathlib import Path
 
 from daylux.cli import main
+from daylux.config import SimConfig
+from daylux.loop import run_simulation
+from daylux.metrics import band_report
 
 ROOT = Path(__file__).resolve().parent.parent
 FENCED = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
-BLOCKS = FENCED.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = FENCED.findall(README)
 
 
 def block_starting(prefix: str) -> str:
@@ -47,3 +52,17 @@ def test_readme_layout_names_every_module():
     assert {line.split()[0] for line in listed} == {
         p.name for p in (ROOT / "src" / "daylux").glob("*.py")
     }
+
+
+def test_readme_regime_table_is_what_the_default_runs_measure():
+    section = README.split("## Regulation regimes", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\S+)` \| (.+?) \| ([\d.]+)% \|$", section, re.M)
+    assert [spec for spec, _, _ in rows] == [
+        "constant:0", "constant:30", "constant:60", "step:20,60,1000", "ramp:0,80",
+    ]
+    for spec, steady_eps, wide_pct in rows:
+        cfg = SimConfig(daylight_source=spec)
+        report = band_report(run_simulation(cfg)[0], cfg.warmup)
+        low, _, high = steady_eps.removesuffix(" on every step").partition(" to ")
+        assert (report.eps_min, report.eps_max) == (int(low), int(high or low)), spec
+        assert round(100.0 * report.frac_in_wide, 1) == float(wide_pct), spec

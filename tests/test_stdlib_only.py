@@ -2,7 +2,8 @@
 
 It also keeps its start-up lean: every `daylux` command is a fresh process
 that pays for each module imported.
-Its sources parse at the Python version pyproject.toml declares as the floor.
+Its sources parse at the Python version pyproject.toml declares as the floor,
+and it declares the version pyproject.toml does.
 """
 
 import ast
@@ -56,17 +57,18 @@ def simulate(out_dir, *options: str) -> str:
 
 def test_a_simulate_run_loads_neither_dataclasses_inspect_nor_csv(tmp_path):
     # dataclasses, with the inspect, ast, dis and tokenize it imports, costs
-    # about 15 ms per CLI run, and csv about 1 ms and 76 KB; a run without
-    # CSV inputs needs none of them.
+    # about 15 ms per CLI run, and csv about 1 ms and 76 KB; no run needs them.
     assert loaded(simulate(tmp_path)) == loaded("pass")
 
 
 def test_csv_inputs_load_csv_when_they_are_read(tmp_path):
+    # A CSV table or daylight file is read line by line by plant.read_lines,
+    # so such a run loads what `pass` loads: the csv module stays unloaded.
     save_lut_csv(synth_default_lut(), tmp_path / "lut.csv")
     save_daylight_csv(gen_daylight("fast", 5), tmp_path / "daylight.csv")
+    bare = loaded("pass")
     for option, name in (("--lut", "lut.csv"), ("--daylight", "daylight.csv")):
-        run = simulate(tmp_path / "out", option, f"csv:{tmp_path / name}")
-        assert loaded(run) == "['csv']"
+        assert loaded(simulate(tmp_path / "out", option, f"csv:{tmp_path / name}")) == bare
 
 
 def test_the_sources_parse_at_the_declared_python_floor():
@@ -78,3 +80,8 @@ def test_the_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
     with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
         ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_the_package_and_pyproject_declare_the_same_version():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert f'version = "{daylux.__version__}"' in pyproject.splitlines()
