@@ -131,18 +131,18 @@ def typed_flags(ns: argparse.Namespace, schema: dict[str, str]) -> dict:
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
-    # A run that fails leaves no artifacts, so none of an earlier run's may stay.
-    for name in ARTIFACT_NAMES:
-        path = os.path.join(cfg.out_dir, name)
-        if os.path.isfile(path):
+    paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
+    # A run that fails leaves no artifacts, so none of an earlier run's may
+    # stay.  A file or link goes; a directory stops the run before it starts.
+    for path in paths:
+        if os.path.lexists(path):
             os.remove(path)
     records, _nets = run_simulation(cfg)
-    artifacts = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
-    print(f"wrote {artifacts['trajectory']} ({artifacts['report'].n_steps} rows)")
-    for p in artifacts["panels"] + artifacts["svgs"]:
-        print(f"wrote {p}")
-    print(f"wrote {artifacts['summary']}")
-    sys.stdout.write(artifacts["summary_text"])
+    report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
+    print(f"wrote {paths[0]} ({report.n_steps} rows)")
+    for path in paths[1:]:
+        print(f"wrote {path}")
+    sys.stdout.write(text)
     return 0
 
 

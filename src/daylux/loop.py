@@ -205,11 +205,10 @@ def loop_step(
     e_daylight_k: int,
     cfg: SimConfig,
 ):
-    """Advance the closed loop one step; returns (state, StepRecord).
+    """Advance the closed loop one step; returns its StepRecord.
 
-    The state object is updated in place and returned as the new state.
-    Only cfg's setpoint and wiring switches are read; it must have passed
-    validate().
+    The state object is updated in place.  Only cfg's setpoint and wiring
+    switches are read; it must have passed validate().
     """
     e_desired = check_d8bv(cfg.e_desired, "e_desired")
     check_d8bv(e_daylight_k, "e_daylight_k")
@@ -257,7 +256,7 @@ def loop_step(
     state.deps_prev = deps
     state.u_prev = u
     state.k += 1
-    return state, record
+    return record
 
 
 def run_loop(
@@ -276,7 +275,7 @@ def run_loop(
     records = []
     for sample in daylight.samples:
         try:
-            state, record = loop_step(state, ctl, inv, lut, sample, cfg)
+            record = loop_step(state, ctl, inv, lut, sample, cfg)
         except DivergenceError as exc:
             raise DivergenceError(exc.net, state.k) from None
         records.append(record)

@@ -38,7 +38,7 @@ PANELS = (
     ("command", "Command", "V_d8bv", ("U", "U_IM"), ("U", "U_IM")),
 )
 
-# Every file write_run_artifacts writes into out_dir.
+# Every file write_run_artifacts writes into out_dir, in `daylux simulate`'s print order.
 ARTIFACT_NAMES = (
     "trajectory.csv",
     *(f"panel_{stem}.{ext}" for ext in ("csv", "svg") for stem, *_ in PANELS),
@@ -126,23 +126,14 @@ def summary_text(report: BandReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_artifacts(records, warmup_steps: int, out_dir) -> dict[str, object]:
-    """Write every artifact of a run into out_dir; returns paths, report and summary text."""
+def write_run_artifacts(records, warmup_steps: int, out_dir) -> tuple[BandReport, str]:
+    """Write every artifact of a run (ARTIFACT_NAMES) into out_dir; returns report and summary."""
     report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
     os.makedirs(out_dir, exist_ok=True)
-    traj = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(records, traj)
-    panels = write_panel_csvs(records, out_dir)
-    svgs = write_panel_svgs(records, out_dir)
-    summary = os.path.join(out_dir, "summary.txt")
+    write_trajectory_csv(records, os.path.join(out_dir, "trajectory.csv"))
+    write_panel_csvs(records, out_dir)
+    write_panel_svgs(records, out_dir)
     text = summary_text(report)
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    return {
-        "trajectory": traj,
-        "panels": panels,
-        "svgs": svgs,
-        "summary": summary,
-        "summary_text": text,
-        "report": report,
-    }
+    return report, text

@@ -68,9 +68,8 @@ def init_network(
     if check_type(n_inputs, "n_inputs", "int") not in (2, 3):
         raise ValueError(f"n_inputs must be 2 or 3, got {n_inputs}")
     check_type(use_bias, "use_bias", "bool")
-    if not (check_type(learning_rate, "learning rate", "float") > 0.0):
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    if not isfinite(learning_rate):
+    check_type(learning_rate, "learning rate", "float")
+    if not (isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
     rng = SplitMix64(seed)
 

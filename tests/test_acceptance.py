@@ -120,12 +120,10 @@ def test_a6_determinism(tmp_path):
     cfg_b = SimConfig(out_dir=str(tmp_path / "b"))
     rec_a, _ = run_simulation(cfg_a)
     rec_b, _ = run_simulation(cfg_b)
-    arts_a = write_run_artifacts(rec_a, cfg_a.warmup, cfg_a.out_dir)
-    arts_b = write_run_artifacts(rec_b, cfg_b.warmup, cfg_b.out_dir)
-    with open(arts_a["trajectory"], "rb") as fh:
-        bytes_a = fh.read()
-    with open(arts_b["trajectory"], "rb") as fh:
-        bytes_b = fh.read()
+    write_run_artifacts(rec_a, cfg_a.warmup, cfg_a.out_dir)
+    write_run_artifacts(rec_b, cfg_b.warmup, cfg_b.out_dir)
+    bytes_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
+    bytes_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
     ok = bytes_a == bytes_b and len(bytes_a) > 0
     line = report_line(
         "A6 determinism", ok,

@@ -428,6 +428,33 @@ def test_a_failed_run_leaves_none_of_an_earlier_runs_artifacts(tmp_path, capsys)
     assert os.listdir(out) == ["notes.txt"]  # every artifact name went, and only those
 
 
+def test_a_directory_at_an_artifact_name_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d"
+    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 0
+    (out / "notes.txt").write_text("not an artifact\n")
+    (out / "summary.txt").unlink()
+    (out / "summary.txt").mkdir()
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("io error: ") and stderr.endswith(f"'{out / 'summary.txt'}'\n")
+    assert sorted(os.listdir(out)) == ["notes.txt", "summary.txt"]  # trajectory.csv went
+    assert (out / "summary.txt").is_dir()
+
+
+def test_a_dangling_link_at_an_artifact_name_is_replaced_by_the_file(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "summary.txt").symlink_to(Path("..") / "outside_summary.txt")
+    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 0
+    assert not (out / "summary.txt").is_symlink()
+    assert (out / "summary.txt").is_file()
+    assert not (tmp_path / "outside_summary.txt").exists()
+    assert sorted(os.listdir(out)) == ARTIFACTS
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     "lut inspect",

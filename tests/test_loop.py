@@ -115,9 +115,9 @@ def test_controller_training_skipped_only_at_step_zero(monkeypatch):
     )
     ctl, inv = zero_pair()
     state = LoopState()
-    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
+    loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
     assert trained_at == []
-    state, _ = loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
+    loop_step(state, ctl, inv, synth_default_lut(), 40, SimConfig())
     assert trained_at == [True]
 
 
@@ -301,7 +301,7 @@ def test_loop_state_histories_are_newest_first_triples(plant_delay):
     state = LoopState()
     measured = []
     for k, e_daylight in enumerate([10, 20, 30, 40]):
-        state, r = loop_step(state, ctl, inv, lut, e_daylight, cfg)
+        r = loop_step(state, ctl, inv, lut, e_daylight, cfg)
         measured.insert(0, r.e_measured)
         if k == 0:
             assert state.e_measured_hist == [r.e_measured] * 3

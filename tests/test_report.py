@@ -13,6 +13,7 @@ from daylux.config import SimConfig
 from daylux.loop import StepRecord, run_simulation
 from daylux.metrics import band_report
 from daylux.report import (
+    ARTIFACT_NAMES,
     TRAJECTORY_HEADER,
     format_real,
     summary_text,
@@ -109,15 +110,13 @@ def test_a_bad_warmup_writes_no_artifact(tmp_path, warmup):
 
 def test_write_run_artifacts_creates_everything(tmp_path):
     out = tmp_path / "nested" / "run"
-    arts = write_run_artifacts(sample_records(20), 5, out)
-    assert sorted(arts) == ["panels", "report", "summary", "summary_text", "svgs", "trajectory"]
-    with open(arts["summary"], encoding="utf-8") as fh:
-        assert fh.read() == arts["summary_text"]
-    for p in [arts["trajectory"], arts["summary"], *arts["panels"], *arts["svgs"]]:
-        assert str(p).startswith(str(out))
-        with open(p, "rb") as fh:
+    report, text = write_run_artifacts(sample_records(20), 5, out)
+    assert sorted(os.listdir(out)) == sorted(ARTIFACT_NAMES)
+    assert (out / "summary.txt").read_text(encoding="utf-8") == text
+    for name in ARTIFACT_NAMES:
+        with open(out / name, "rb") as fh:
             assert fh.read(1)  # exists and non-empty
-    assert arts["report"].n_steady == 15
+    assert report.n_steady == 15
 
 
 def test_artifacts_are_byte_identical_across_runs(tmp_path):
@@ -125,18 +124,14 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
     b = tmp_path / "b"
     write_run_artifacts(sample_records(60), 10, a)
     write_run_artifacts(sample_records(60), 10, b)
-    for name in (
-        "trajectory.csv", "summary.txt",
-        "panel_illuminance.csv", "panel_error.csv", "panel_command.csv",
-        "panel_illuminance.svg", "panel_error.svg", "panel_command.svg",
-    ):
+    for name in ARTIFACT_NAMES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_svg_files_are_wellformed_charts(tmp_path):
-    arts = write_run_artifacts(sample_records(30), 0, tmp_path)
-    for p in arts["svgs"]:
-        with open(p) as fh:
+    write_run_artifacts(sample_records(30), 0, tmp_path)
+    for name in (n for n in ARTIFACT_NAMES if n.endswith(".svg")):
+        with open(tmp_path / name) as fh:
             body = fh.read()
         assert body.startswith("<svg ") or body.startswith("<?xml")
         assert "<polyline" in body and body.rstrip().endswith("</svg>")
