@@ -17,27 +17,9 @@ import argparse
 import os
 import sys
 
-from .config import (
-    ALLOWED,
-    FIELDS,
-    SYNTHETIC_LUT_SCHEMA,
-    SimConfig,
-    apply_settings,
-    convert,
-    load_config_file,
-    synthetic_lut,
-)
+from .config import ALLOWED, FIELDS, SimConfig, apply_settings, build_lut, convert, load_config_file
 from .loop import run_simulation
-from .plant import (
-    DEFAULT_LUT_E_MAX,
-    DEFAULT_LUT_KNOTS,
-    DEFAULT_LUT_SHAPE,
-    load_lut_csv,
-    lut_eval,
-    lut_inverse,
-    save_lut_csv,
-    synth_default_lut,
-)
+from .plant import lut_eval, lut_inverse, save_lut_csv
 from .report import ARTIFACT_NAMES, write_run_artifacts
 from .signals import check_d8bv
 
@@ -87,19 +69,18 @@ def build_parser() -> _Parser:
         if key in ALLOWED:
             help_text += ": " + " or ".join(map(str, ALLOWED[key]))
         name = key.removesuffix("_source")
-        sim.add_argument("--" + name.replace("_", "-"), dest=key, metavar=name.upper(),
-                         help=f"{help_text} (default {default})")
+        flag = {"metavar": name.upper(), "help": f"{help_text} (default {default})"}
+        sim.add_argument("--" + name.replace("_", "-"), dest=key, **flag)
+        if key == "lut_source":  # the lut commands name their table the same way
+            lut_flag = {**flag, "default": default}
 
     lut = sub.add_parser("lut", help="generate or inspect plant tables")
     lut_sub = lut.add_subparsers(dest="lut_command", required=True)
-    gen = lut_sub.add_parser("generate", help="write a synthetic table CSV")
+    gen = lut_sub.add_parser("generate", help="write a table CSV")
+    gen.add_argument("--lut", **lut_flag)
     gen.add_argument("--out", type=_path, default="lut.csv", help="output path (default lut.csv)")
-    gen.add_argument("--e-max", help=f"illuminance at u=255 (default {DEFAULT_LUT_E_MAX})")
-    gen.add_argument("--shape", help=f"power-law exponent (default {DEFAULT_LUT_SHAPE})")
-    gen.add_argument("--knots", help=f"number of knots (default {DEFAULT_LUT_KNOTS})")
     ins = lut_sub.add_parser("inspect", help="print knots, monotonicity, inverse lookups")
-    ins.add_argument("path", nargs="?", type=_path,
-                     help="table CSV; omitted = default synthetic table")
+    ins.add_argument("--lut", **lut_flag)
     ins.add_argument("--query-e", help="print the brute-force inverse u* for this e")
 
     return parser
@@ -115,19 +96,6 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     apply_settings(cfg, flags, "command line")
     cfg.validate()
     return cfg
-
-
-def typed_flags(ns: argparse.Namespace, schema: dict[str, str]) -> dict:
-    """The given flags named in schema, converted like config-file keys.
-
-    Flags are declared without an argparse ``type``, so a bad value gets the
-    same message here as in a config file or a source spec.
-    """
-    return {
-        key: convert(key, value, schema, "command line")
-        for key in schema
-        if (value := getattr(ns, key)) is not None
-    }
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
@@ -147,18 +115,17 @@ def cmd_simulate(cfg: SimConfig) -> int:
 
 
 def cmd_lut(ns: argparse.Namespace) -> int:
+    # Everything that can fail is checked before the first line is printed.
+    query_e = getattr(ns, "query_e", None)  # a flag of inspect only
+    if query_e is not None:
+        query_e = convert("query_e", query_e, {"query_e": "int"}, "command line")
+        check_d8bv(query_e, "query_e")
+    table = build_lut(SimConfig(lut_source=ns.lut))
     if ns.lut_command == "generate":
-        table = synthetic_lut(typed_flags(ns, SYNTHETIC_LUT_SCHEMA))
         save_lut_csv(table, ns.out)
         print(f"wrote {ns.out} ({len(table.knots)} knots)")
         return 0
-    # Everything that can fail is checked before the first line is printed.
-    query_e = typed_flags(ns, {"query_e": "int"}).get("query_e")
-    if query_e is not None:
-        check_d8bv(query_e, "query_e")
-    table = synth_default_lut() if ns.path is None else load_lut_csv(ns.path)
-    source = "synthetic defaults" if ns.path is None else ns.path
-    print(f"table: {source}")
+    print(f"table: {ns.lut}")
     print("  u    e")
     for u, e in table.knots:
         print(f"{u:5d} {e:4d}")

@@ -107,30 +107,26 @@ class SimConfig:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, got {value!r}")
         if self.out_dir == "":
             raise ConfigError("out_dir must not be empty")
-        # The run makes out_dir and any missing parents; what exists must be directories.
         path = os.fspath(self.out_dir)
+        if "\0" in os.fsdecode(path):  # no file name holds one; isdir and exists say False
+            raise ConfigError(f"out_dir must not contain a NUL character, got {path!r}")
+        # The run makes out_dir and any missing parents; what exists must be directories.
         while path and not os.path.isdir(path):
             if os.path.exists(path):
                 raise ConfigError(f"out_dir is not a directory: {path}")
             path = os.path.dirname(path)
-        for key, spec in (("lut", self.lut_source), ("daylight", self.daylight_source)):
-            try:
-                kind, params = parse_source(key, spec)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-            if kind == "csv" and not os.path.isfile(params["path"]):
-                problem = "not a file" if os.path.exists(params["path"]) else "file not found"
-                raise ConfigError(f"{key}: {problem}: {params['path']}")
-
-
-# Parameters of the synthetic table, typed as `synthetic:` spec keys or as
-# `daylux lut generate` flags.
-SYNTHETIC_LUT_SCHEMA = {"e_max": "int", "shape": "float", "knots": "int"}
+        checked_source("lut", self.lut_source)
+        checked_source("daylight", self.daylight_source)
 
 
 # The generated kinds of each source spec, with their parameter schemas; every
 # spec may also be `csv:PATH`.
-SOURCES = {"lut": {"synthetic": SYNTHETIC_LUT_SCHEMA}, "daylight": plant.DAYLIGHT_PARAMS}
+SOURCES = {
+    "lut": {"synthetic": {"e_max": "int", "shape": "float", "knots": "int"}},
+    "daylight": plant.DAYLIGHT_PARAMS,
+}
+# synth_default_lut's keyword for each `synthetic:` spec key.
+LUT_KEYWORDS = {"e_max": "e_max", "shape": "gamma_shape", "knots": "knot_count"}
 # Kinds whose parameters all have defaults and are given as key=value; the
 # other kinds take every parameter, by position.
 KEYWORD_KINDS = ("synthetic", "fast")
@@ -157,27 +153,30 @@ def parse_source(key: str, spec: str):
     return kind, {n: convert(n, p.strip(), schema, kind) for n, p in zip(schema, parts)}
 
 
+def checked_source(key: str, spec: str):
+    """parse_source, with the key before every message and a csv path that names a file."""
+    try:
+        kind, params = parse_source(key, spec)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if kind == "csv" and not os.path.isfile(params["path"]):
+        problem = "not a file" if os.path.exists(params["path"]) else "file not found"
+        raise ConfigError(f"{key}: {problem}: {params['path']}")
+    return kind, params
+
+
 def build_lut(cfg: SimConfig) -> plant.ProcessLut:
-    kind, params = parse_source("lut", cfg.lut_source)
+    kind, params = checked_source("lut", cfg.lut_source)
     if kind == "csv":
         return plant.load_lut_csv(params["path"])
     try:
-        return synthetic_lut(params)
+        return plant.synth_default_lut(**{LUT_KEYWORDS[k]: v for k, v in params.items()})
     except ValueError as exc:
         raise ConfigError(f"lut: {kind}: {exc}") from exc
 
 
-def synthetic_lut(params: dict) -> plant.ProcessLut:
-    """The synthetic table for converted SYNTHETIC_LUT_SCHEMA values; absent keys default."""
-    return plant.synth_default_lut(
-        e_max=params.get("e_max", plant.DEFAULT_LUT_E_MAX),
-        gamma_shape=params.get("shape", plant.DEFAULT_LUT_SHAPE),
-        knot_count=params.get("knots", plant.DEFAULT_LUT_KNOTS),
-    )
-
-
 def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
-    kind, params = parse_source("daylight", cfg.daylight_source)
+    kind, params = checked_source("daylight", cfg.daylight_source)
     if kind == "csv":
         return plant.load_daylight_csv(params["path"])
     try:

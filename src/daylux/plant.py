@@ -20,10 +20,6 @@ import math
 from .rng import SplitMix64
 from .signals import D8BV_MAX, check_d8bv, check_type, round_half_away
 
-DEFAULT_LUT_E_MAX = 180
-DEFAULT_LUT_SHAPE = 1.3
-DEFAULT_LUT_KNOTS = 32
-
 FAST_BASE = 40
 FAST_AMPLITUDE = 60
 FAST_STEP_PROB = 0.05
@@ -53,6 +49,7 @@ class ProcessLut:
     """
 
     def __init__(self, knots: tuple[tuple[int, int], ...]) -> None:
+        knots = tuple(map(tuple, knots))  # the caller's lists may change later
         if len(knots) < 2:
             raise ValueError(f"a LUT needs at least 2 knots, got {len(knots)}")
         for u, e in knots:
@@ -99,9 +96,7 @@ def lut_inverse(lut: ProcessLut, e_target: int) -> int:
 
 
 def synth_default_lut(
-    e_max: int = DEFAULT_LUT_E_MAX,
-    gamma_shape: float = DEFAULT_LUT_SHAPE,
-    knot_count: int = DEFAULT_LUT_KNOTS,
+    e_max: int = 180, gamma_shape: float = 1.3, knot_count: int = 32
 ) -> ProcessLut:
     """Power-law stand-in table: e(u) = round(e_max * (u/255)**gamma_shape).
 
@@ -120,13 +115,14 @@ def synth_default_lut(
         u = round_half_away(i * D8BV_MAX / (knot_count - 1))
         e = round_half_away(e_max * (u / D8BV_MAX) ** gamma_shape)
         knots.append((u, e))
-    return ProcessLut(tuple(knots))
+    return ProcessLut(knots)
 
 
 class DaylightTrajectory:
     """Per-step daylight illuminance."""
 
     def __init__(self, samples: tuple[int, ...]) -> None:
+        samples = tuple(samples)  # the caller's list may change later; a tuple is not copied
         for k, s in enumerate(samples):
             try:
                 check_d8bv(s, "daylight sample")
@@ -217,7 +213,7 @@ def _gen_fast_changes(
         elif level > hi:
             level = float(hi)
         samples.append(round_half_away(level))
-    return DaylightTrajectory(tuple(samples))
+    return DaylightTrajectory(samples)
 
 
 def load_lut_csv(path) -> ProcessLut:
@@ -236,7 +232,7 @@ def load_lut_csv(path) -> ProcessLut:
         prev_u, prev_e = u, e
         knots.append((u, e))
     try:
-        return ProcessLut(tuple(knots))
+        return ProcessLut(knots)
     except ValueError as exc:
         raise TableFormatError(f"{path}: {exc}") from exc
 
@@ -256,7 +252,7 @@ def load_daylight_csv(path) -> DaylightTrajectory:
         if not 0 <= e <= D8BV_MAX:
             raise TableFormatError(f"{path}: e out of [0, 255] at line {lineno}")
         samples.append(e)
-    return DaylightTrajectory(tuple(samples))
+    return DaylightTrajectory(samples)
 
 
 def save_daylight_csv(traj: DaylightTrajectory, path) -> None:

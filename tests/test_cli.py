@@ -120,9 +120,10 @@ def test_diverging_run_exits_1_with_one_error_line(tmp_path, capsys):
     assert not out.exists()  # artifacts of the completed steps are not written
 
 
-def test_missing_table_on_inspect_exits_2(tmp_path, capsys):
-    assert main(["lut", "inspect", str(tmp_path / "absent.csv")]) == 2
-    assert "io error" in capsys.readouterr().err
+def test_missing_table_on_inspect_exits_1(tmp_path, capsys):
+    absent = tmp_path / "absent.csv"
+    assert main(["lut", "inspect", "--lut", f"csv:{absent}"]) == 1
+    assert capsys.readouterr() == ("", f"error: lut: file not found: {absent}\n")
 
 
 def test_help_exits_0(capsys):
@@ -141,12 +142,13 @@ def test_gradcheck_is_not_a_command(capsys):
 
 def test_lut_generate_then_inspect(tmp_path, capsys):
     out = tmp_path / "tbl.csv"
-    assert main(["lut", "generate", "--out", str(out), "--knots", "16"]) == 0
+    assert main(["lut", "generate", "--out", str(out), "--lut", "synthetic:knots=16"]) == 0
     assert f"wrote {out} (16 knots)" in capsys.readouterr().out
     assert len(load_lut_csv(out).knots) == 16
 
-    assert main(["lut", "inspect", str(out), "--query-e", "100"]) == 0
+    assert main(["lut", "inspect", "--lut", f"csv:{out}", "--query-e", "100"]) == 0
     text = capsys.readouterr().out
+    assert text.startswith(f"table: csv:{out}\n")
     assert "monotone: yes" in text
     assert re.search(r"u\*\(100\) = \d+  \(lut_eval -> \d+\)", text)
 
@@ -154,12 +156,17 @@ def test_lut_generate_then_inspect(tmp_path, capsys):
 def test_lut_inspect_synthetic_default(capsys):
     assert main(["lut", "inspect", "--query-e", "100"]) == 0
     text = capsys.readouterr().out
-    assert "synthetic defaults" in text
+    assert text.startswith("table: synthetic\n")
     assert "u*(100) = 162" in text  # brute-force inverse of the default table
 
 
 def test_lut_generate_rejects_bad_params(tmp_path, capsys):
-    assert main(["lut", "generate", "--out", str(tmp_path / "t.csv"), "--e-max", "10"]) == 1
+    out = tmp_path / "t.csv"
+    assert main(["lut", "generate", "--out", str(out), "--lut", "synthetic:e_max=10"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: lut: synthetic: e_max must be in [120, 255], got 10\n"
+    )
+    assert not out.exists()
 
 
 def test_lut_inspect_rejects_an_out_of_range_query_before_printing(capsys):
@@ -170,23 +177,14 @@ def test_lut_inspect_rejects_an_out_of_range_query_before_printing(capsys):
 
 
 @pytest.mark.parametrize("argv, key, value, type_name", [
-    ("lut generate --out {out} --e-max", "e_max", "1.5", "int"),
-    ("lut generate --out {out} --shape", "shape", "steep", "float"),
-    ("lut generate --out {out} --knots", "knots", "x", "int"),
     ("lut inspect --query-e", "query_e", "x", "int"),
 ])
 def test_typed_subcommand_flags_go_through_the_config_converter(
     tmp_path, capsys, argv, key, value, type_name
 ):
-    out = tmp_path / "t.csv"
-    assert main([a.format(out=out) for a in argv.split()] + [value]) == 1
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
+    assert main(argv.split() + [value]) == 1
     want = f"bad value for {key!r}: {value!r} (expected {type_name})"
-    assert err == f"error: command line: {want}\n"
-    if argv.startswith("lut generate"):  # the same key typed in a LUT spec
-        assert main(["simulate", "--lut", f"synthetic:{key}={value}"]) == 1
-        assert capsys.readouterr().err == f"error: lut: synthetic: {want}\n"
+    assert capsys.readouterr() == ("", f"error: command line: {want}\n")
 
 
 def test_daylight_csv_length_sets_run_length(tmp_path, capsys):
@@ -271,7 +269,21 @@ def test_simulate_flags_come_from_the_config_fields():
             cfg.validate()
 
 
-@pytest.mark.parametrize("argv", ["lut inspect {lut}", "simulate --lut csv:{lut} --out-dir {out}"])
+def test_the_lut_commands_take_simulates_lut_flag():
+    def commands(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    top = commands(build_parser())
+    (want,) = [a for a in top["simulate"]._actions if a.dest == "lut_source"]
+    for name, sub in commands(top["lut"]).items():
+        (flag,) = [a for a in sub._actions if a.option_strings == ["--lut"]]
+        assert (flag.help, flag.metavar, flag.default) == (want.help, want.metavar, "synthetic"), name
+    assert want.help.endswith(" (default synthetic)")
+
+
+@pytest.mark.parametrize("argv", [
+    "lut inspect --lut csv:{lut}", "simulate --lut csv:{lut} --out-dir {out}",
+])
 def test_decreasing_lut_csv_exits_1_naming_the_line(tmp_path, capsys, argv):
     lut = tmp_path / "dec.csv"
     lut.write_text("u,e\n0,0\n100,90\n200,80\n255,180\n")
@@ -282,7 +294,7 @@ def test_decreasing_lut_csv_exits_1_naming_the_line(tmp_path, capsys, argv):
 @pytest.mark.parametrize("header, argv", [
     ("k,e", "simulate --daylight csv:{big} --out-dir {out}"),
     ("u,e", "simulate --lut csv:{big} --out-dir {out}"),
-    ("u,e", "lut inspect {big}"),
+    ("u,e", "lut inspect --lut csv:{big}"),
 ])
 def test_oversized_csv_field_exits_1_with_one_error_line(tmp_path, capsys, header, argv):
     big = tmp_path / "big.csv"
@@ -293,20 +305,23 @@ def test_oversized_csv_field_exits_1_with_one_error_line(tmp_path, capsys, heade
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value, internal", [
-    ("shape", "-1", "gamma_shape"),
-    ("shape", "nan", "gamma_shape"),
-    ("shape", "inf", "gamma_shape"),
-    ("knots", "4", "knot_count"),
+@pytest.mark.parametrize("spec, message", [
+    ("synthetic:e_max=50", "lut: synthetic: e_max must be in [120, 255], got 50"),
+    ("synthetic:shape=-1", "lut: synthetic: shape must be finite and > 0, got -1.0"),
+    ("synthetic:shape=nan", "lut: synthetic: shape must be finite and > 0, got nan"),
+    ("synthetic:shape=inf", "lut: synthetic: shape must be finite and > 0, got inf"),
+    ("synthetic:knots=4", "lut: synthetic: knots must be in [8, 256], got 4"),
+    ("synthetic:knots=x", "lut: synthetic: bad value for 'knots': 'x' (expected int)"),
+    ("csv:", "lut: csv source needs a path, e.g. csv:lut.csv"),
 ])
-def test_lut_parameter_errors_name_the_typed_key(tmp_path, capsys, key, value, internal):
-    assert main(["lut", "generate", "--out", str(tmp_path / "t.csv"), f"--{key}", value]) == 1
-    assert main(["simulate", "--steps", "5", "--lut", f"synthetic:{key}={value}",
-                 "--out-dir", str(tmp_path / "o")]) == 1
-    generate_err, simulate_err = capsys.readouterr().err.splitlines()
-    assert generate_err.startswith(f"error: {key} must be")
-    assert simulate_err.startswith(f"error: lut: synthetic: {key} must be")
-    assert internal not in generate_err + simulate_err
+def test_every_command_reports_a_bad_lut_spec_alike(tmp_path, monkeypatch, capsys, spec, message):
+    # The message names the spec key, never synth_default_lut's keyword for it.
+    assert "gamma_shape" not in message and "knot_count" not in message
+    monkeypatch.chdir(tmp_path)
+    for argv in ("simulate --steps 5 --out-dir o", "lut generate --out t.csv", "lut inspect"):
+        assert main(argv.split() + ["--lut", spec]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, spec, message", [
@@ -326,8 +341,9 @@ def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, messa
 @pytest.mark.parametrize("argv, message", [
     ("simulate --steps 5 --steps 7 --daylight constant:30 --out-dir {out}",
      "argument --steps: given twice"),
-    ("lut generate --knots 8 --out {out} --knots 16", "argument --knots: given twice"),
-    ("lut generate --out {out} --knots 8 --out {out}", "argument --out: given twice"),
+    ("lut generate --lut synthetic:knots=8 --out {out} --lut synthetic:knots=16",
+     "argument --lut: given twice"),
+    ("lut generate --out {out} --lut synthetic --out {out}", "argument --out: given twice"),
     ("simulate --steps 5 --daylight fast:base=10,base=90 --out-dir {out}",
      "daylight: fast: 'base' set twice"),
 ])
@@ -341,12 +357,10 @@ def test_a_repeated_flag_or_spec_key_exits_1_naming_it(tmp_path, capsys, argv, m
 @pytest.mark.parametrize("argv, name", [
     ("simulate --config= --steps 3 --daylight constant:30 --out-dir {out}", "--config"),
     ("lut generate --out=", "--out"),
-    ("lut inspect", "path"),
 ])
 def test_an_empty_path_argument_exits_1_naming_it(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
-    args = [a.format(out=tmp_path / "o") for a in argv.split()]
-    assert main(args + [""] if name == "path" else args) == 1
+    assert main([a.format(out=tmp_path / "o") for a in argv.split()]) == 1
     assert capsys.readouterr() == ("", f"error: argument {name}: must not be empty\n")
     assert list(tmp_path.iterdir()) == []
 
@@ -396,6 +410,18 @@ def test_an_out_dir_below_a_file_exits_1_before_the_run(tmp_path, monkeypatch, c
         assert main(["simulate", "--steps", "5", "--out-dir", str(below)]) == 1
         assert capsys.readouterr() == ("", f"error: out_dir is not a directory: {taken}\n")
     assert taken.read_text() == "kept\n"
+
+
+def test_an_out_dir_holding_a_nul_exits_1_before_the_run(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 30\nout_dir = a\0b\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: out_dir must not contain a NUL character, got 'a\\x00b'\n"
+    )
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_steps_past_sys_maxsize_exit_1_before_the_run(capsys):
@@ -484,7 +510,7 @@ def test_a_closed_stdout_exits_0_with_nothing_on_stderr(tmp_path, argv, unbuffer
     ("run.cfg", "simulate --config {bad}"),
     ("day.csv", "simulate --daylight csv:{bad} --out-dir {out}"),
     ("lut.csv", "simulate --lut csv:{bad} --out-dir {out}"),
-    ("lut.csv", "lut inspect {bad}"),
+    ("lut.csv", "lut inspect --lut csv:{bad}"),
 ])
 def test_non_utf8_input_exits_1_with_one_error_line(tmp_path, capsys, name, argv):
     bad = tmp_path / name

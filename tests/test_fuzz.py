@@ -20,7 +20,7 @@ from daylux.plant import TableFormatError, load_daylight_csv, load_lut_csv
 from daylux.rng import SplitMix64
 
 SEED = 0xDA7
-CASES = 300  # per target; all five targets together take well under 2 s
+CASES = 300  # per target; all six targets together take well under 2 s
 MAX_EDITS = 4
 ALLOWED = (ConfigError, TableFormatError, ValueError)
 # Half of the inserted bytes come from the parsers' own syntax, so mutations
@@ -69,6 +69,12 @@ def lut_spec(data: bytes) -> None:
     build_lut(cfg)
 
 
+def lut_command_spec(data: bytes) -> None:
+    # `daylux lut` builds its table without validate, so build_lut alone must
+    # turn a bad spec or a missing file into a documented error.
+    build_lut(SimConfig(lut_source=data.decode("latin-1")))
+
+
 def daylight_spec(data: bytes) -> None:
     cfg = SimConfig(steps=20, daylight_source=data.decode("latin-1"))
     cfg.validate()
@@ -105,6 +111,7 @@ TARGETS = {
     "lut_csv": (lut_csv, [LUT_CSV]),
     "daylight_csv": (daylight_csv, [DAYLIGHT_CSV]),
 }
+TARGETS["lut_command_spec"] = (lut_command_spec, TARGETS["lut_spec"][1])
 
 
 @pytest.mark.parametrize("target", list(TARGETS))

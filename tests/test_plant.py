@@ -407,6 +407,25 @@ def test_process_lut_equality_hash_and_repr_see_only_knots():
     assert line.table == knotted.table and line != knotted
 
 
+def test_a_lut_and_a_trajectory_keep_the_values_they_checked(tmp_path):
+    pairs = [[0, 0], [100, 90], [255, 180]]
+    lut = ProcessLut(pairs)
+    built = ProcessLut(((0, 0), (100, 90), (255, 180)))
+    assert lut == built and hash(lut) == hash(built)
+    pairs[1][1] = 200  # would make the knots decreasing
+    pairs.append([256, 0])  # a knot past the 8-bit grid
+    assert lut.knots == built.knots and lut.table == built.table
+    save_lut_csv(lut, tmp_path / "lut.csv")
+    assert (tmp_path / "lut.csv").read_text() == "u,e\n0,0\n100,90\n255,180\n"
+    samples = [1, 2, 3]
+    traj = DaylightTrajectory(samples)
+    samples[0] = 300
+    samples.append(4)
+    assert traj.samples == (1, 2, 3)
+    save_daylight_csv(traj, tmp_path / "day.csv")
+    assert (tmp_path / "day.csv").read_text() == "k,e\n0,1\n1,2\n2,3\n"
+
+
 def _interpolate_exactly(knots, u):
     """Piecewise-linear value at u in exact rationals, rounded half away from zero."""
     if u <= knots[0][0]:
