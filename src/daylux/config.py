@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import sys
 
 from . import plant
@@ -110,11 +111,20 @@ class SimConfig:
         path = os.fspath(self.out_dir)
         if "\0" in os.fsdecode(path):  # no file name holds one; isdir and exists say False
             raise ConfigError(f"out_dir must not contain a NUL character, got {path!r}")
-        # The run makes out_dir and any missing parents; what exists must be directories.
-        while path and not os.path.isdir(path):
-            if os.path.exists(path):
+        # The run makes out_dir and any missing parents; what exists must be
+        # directories.  isdir and exists say False on any error, so stat tells
+        # a missing path from one that cannot be looked up (a name too long).
+        while path:
+            try:
+                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+            except (FileNotFoundError, NotADirectoryError):  # missing, or below a file
+                path = os.path.dirname(path)
+                continue
+            except OSError as exc:
+                raise ConfigError(f"out_dir: {exc.strerror}: {path!r}") from None
+            if not is_dir:
                 raise ConfigError(f"out_dir is not a directory: {path}")
-            path = os.path.dirname(path)
+            break
         checked_source("lut", self.lut_source)
         checked_source("daylight", self.daylight_source)
 
@@ -161,7 +171,7 @@ def checked_source(key: str, spec: str):
         raise ConfigError(f"{key}: {exc}") from exc
     if kind == "csv" and not os.path.isfile(params["path"]):
         problem = "not a file" if os.path.exists(params["path"]) else "file not found"
-        raise ConfigError(f"{key}: {problem}: {params['path']}")
+        raise ConfigError(f"{key}: {problem}: {params['path']!r}")
     return kind, params
 
 

@@ -197,15 +197,15 @@ def _gen_fast_changes(
         raise ValueError(f"step_prob must be in [0, 1], got {step_prob}")
     lo = max(0, base - amplitude)
     hi = min(D8BV_MAX, base + amplitude)
-    rng = SplitMix64(seed)
+    draw = SplitMix64(seed).randoms().__next__  # random(); uniform(a, b) is a + (b - a) * draw()
     slope_span = amplitude * step_prob / 6.0
-    slope = rng.uniform(-slope_span, slope_span)
+    slope = -slope_span + 2 * slope_span * draw()
     level = float(base)
     samples = [base]
     for _ in range(1, length):
-        if rng.random() < step_prob:
-            level += rng.uniform(-max_jump, max_jump)
-            slope = rng.uniform(-slope_span, slope_span)
+        if draw() < step_prob:
+            level += -max_jump + 2 * max_jump * draw()
+            slope = -slope_span + 2 * slope_span * draw()
         else:
             level += slope
         if level < lo:

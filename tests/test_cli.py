@@ -123,7 +123,7 @@ def test_diverging_run_exits_1_with_one_error_line(tmp_path, capsys):
 def test_missing_table_on_inspect_exits_1(tmp_path, capsys):
     absent = tmp_path / "absent.csv"
     assert main(["lut", "inspect", "--lut", f"csv:{absent}"]) == 1
-    assert capsys.readouterr() == ("", f"error: lut: file not found: {absent}\n")
+    assert capsys.readouterr() == ("", f"error: lut: file not found: {str(absent)!r}\n")
 
 
 def test_help_exits_0(capsys):
@@ -421,6 +421,25 @@ def test_an_out_dir_holding_a_nul_exits_1_before_the_run(tmp_path, monkeypatch, 
     assert capsys.readouterr() == (
         "", "error: out_dir must not contain a NUL character, got 'a\\x00b'\n"
     )
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_an_out_dir_too_long_to_look_up_exits_1_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    too_long = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    assert main(["simulate", "--steps", "30", "--out-dir", too_long]) == 1
+    assert capsys.readouterr() == ("", f"error: out_dir: File name too long: {too_long!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_csv_path_is_quoted_in_its_message(tmp_path, monkeypatch, capsys):
+    # a NUL from a config file must not reach stderr as a raw byte
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lut_source = csv:a\0b\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "error: lut: file not found: 'a\\x00b'\n")
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 

@@ -117,7 +117,20 @@ def test_validate_checks_csv_paths_exist(tmp_path):
         cfg = SimConfig(**{f"{key}_source": f"csv:{tmp_path}"})
         with pytest.raises(ConfigError) as err:
             cfg.validate()
-        assert str(err.value) == f"{key}: not a file: {tmp_path}"
+        assert str(err.value) == f"{key}: not a file: {str(tmp_path)!r}"
+
+
+def test_validate_rejects_an_out_dir_it_cannot_look_up(tmp_path, monkeypatch):
+    # isdir and exists say False for a name too long, as for a missing one, so
+    # such an out_dir passed and the run failed only when writing its artifacts
+    monkeypatch.chdir(tmp_path)
+    too_long = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    for out_dir in (too_long, os.path.join(too_long, "sub"), tmp_path / too_long):
+        with pytest.raises(ConfigError) as err:
+            SimConfig(out_dir=out_dir).validate()
+        path = os.fspath(out_dir)
+        assert str(err.value) == f"out_dir: File name too long: {path!r}"
+    assert os.listdir(tmp_path) == []
 
 
 def test_parse_source_reads_each_kind():

@@ -1,6 +1,7 @@
 """Tests for the LUT plant, daylight generators, and their CSV formats."""
 
 import codecs
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from daylux.plant import (
     synth_default_lut,
 )
 from daylux.rng import SplitMix64
+from daylux.signals import round_half_away
 
 
 def test_default_lut_shape():
@@ -161,6 +163,88 @@ def test_gen_fast_actually_jumps():
     traj = gen_daylight("fast", 2000, seed=3)
     diffs = [abs(b - a) for a, b in zip(traj.samples, traj.samples[1:])]
     assert max(diffs) > 5  # at 5% jump probability, 2000 steps must jump
+
+
+def reference_fast_walk(length, seed, base, amplitude, step_prob, max_jump):
+    """gen_daylight("fast")'s walk with one scalar SplitMix64 call per draw.
+
+    The specification the block-drawn walk must meet sample for sample; the
+    parameters are taken as already checked.
+    """
+    lo = max(0, base - amplitude)
+    hi = min(255, base + amplitude)
+    rng = SplitMix64(seed)
+    slope_span = amplitude * step_prob / 6.0
+    slope = rng.uniform(-slope_span, slope_span)
+    level = float(base)
+    samples = [base]
+    for _ in range(1, length):
+        if rng.random() < step_prob:
+            level += rng.uniform(-max_jump, max_jump)
+            slope = rng.uniform(-slope_span, slope_span)
+        else:
+            level += slope
+        if level < lo:
+            level = float(lo)
+        elif level > hi:
+            level = float(hi)
+        samples.append(round_half_away(level))
+    return tuple(samples)
+
+
+def fast_walk_cases():
+    """(length, seed, base, amplitude, step_prob, max_jump) rows: edges, then fuzzed."""
+    # A walk draws once per drift step and three times per jump step, so with
+    # step_prob 0 a length of 256 ends a 256-draw block exactly and 257 starts
+    # the next; step_prob 1 crosses a block boundary mid-jump.
+    cases = [(1, 2, 40, 60, 0.05, 50), (2, 2, 40, 60, 0.05, 50)]
+    for length in (255, 256, 257, 511, 512, 513):
+        for step_prob in (0, 0.0, 1, 1.0, 0.05):
+            cases.append((length, 2**64 - 1, 40, 60, step_prob, 50))
+        cases += [(length, 0, 0, 1, 0.3, 1), (length, 7, 255, 255, 0.5, 255)]
+    pick = SplitMix64(0x5EED)
+    for _ in range(60):
+        seed = (0, 2**64 - 1, pick.next_u64())[pick.randbelow(3)]
+        step_prob = (0, 1, 0.0, 1.0, pick.random(), pick.random() * 0.1)[pick.randbelow(6)]
+        length = (1 + pick.randbelow(3000), 255 + pick.randbelow(3), 511 + pick.randbelow(3))
+        cases.append((
+            length[pick.randbelow(3)],
+            seed,
+            pick.randbelow(256),
+            1 + pick.randbelow(255),
+            step_prob,
+            1 + pick.randbelow(255),
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("case", fast_walk_cases())
+def test_gen_fast_equals_the_scalar_reference_walk(case):
+    length, seed, *values = case
+    params = dict(zip(("base", "amplitude", "step_prob", "max_jump"), values))
+    traj = gen_daylight("fast", length, seed=seed, **params)
+    assert traj.samples == reference_fast_walk(length, seed, **params)
+
+
+# SHA-256 of the samples, as bytes, of two 20000-step fast walks: the loop's
+# trajectory digests read only the first 2000 steps of a walk.
+LONG_WALK_DIGESTS = [
+    pytest.param(
+        2, {}, "ce1b4becac98538da6c3dfda16132a807ee337176a91efa9d387f9308495aa92", id="default"
+    ),
+    pytest.param(
+        5,
+        {"base": 90, "amplitude": 80},
+        "b918d80b225ae5d139b80973235ed7060b28589ce1369e9a62ef1698bab8bf92",
+        id="base90_amplitude80",
+    ),
+]
+
+
+@pytest.mark.parametrize("seed,params,digest", LONG_WALK_DIGESTS)
+def test_long_fast_walk_digest_is_frozen(seed, params, digest):
+    samples = gen_daylight("fast", 20000, seed=seed, **params).samples
+    assert hashlib.sha256(bytes(samples)).hexdigest() == digest
 
 
 def test_gen_daylight_validation():

@@ -1,5 +1,7 @@
 """Tests for the SplitMix64 generator: frozen streams, ranges, determinism."""
 
+from itertools import islice
+
 import pytest
 
 from daylux.rng import SplitMix64
@@ -92,3 +94,17 @@ def test_a_seed_outside_64_bits_is_rejected_not_aliased(seed):
 def test_a_seed_that_is_not_an_int_is_rejected(seed):
     with pytest.raises(ValueError, match=r"^seed must be an int in \[0, \d+\], got "):
         SplitMix64(seed)
+
+
+# The increment is about 0.62 * 2**64, so the state passes 2**64 on most
+# draws; this seed makes it exactly 0 at the 300th draw, inside the second block.
+WRAPS_TO_ZERO_IN_BLOCK_TWO = -300 * 0x9E3779B97F4A7C15 % 2**64
+
+
+@pytest.mark.parametrize("seed", [0, 2, 2**64 - 1, WRAPS_TO_ZERO_IN_BLOCK_TWO])
+def test_randoms_equals_successive_random_calls(seed):
+    r = SplitMix64(seed)
+    blocked = list(islice(r.randoms(), 5000))
+    scalar = SplitMix64(seed)
+    assert blocked == [scalar.random() for _ in range(5000)]
+    assert r.random() == blocked[0]  # the stream left the generator where it was
