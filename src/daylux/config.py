@@ -16,6 +16,7 @@ trajectory brings its own length and overrides `steps` for the run.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import stat
@@ -108,23 +109,19 @@ class SimConfig:
                 raise ConfigError(f"{key} must be {' or '.join(map(str, allowed))}, got {value!r}")
         if self.out_dir == "":
             raise ConfigError("out_dir must not be empty")
-        path = os.fspath(self.out_dir)
-        if "\0" in os.fsdecode(path):  # no file name holds one; isdir and exists say False
-            raise ConfigError(f"out_dir must not contain a NUL character, got {path!r}")
-        # The run makes out_dir and any missing parents; what exists must be
-        # directories.  isdir and exists say False on any error, so stat tells
-        # a missing path from one that cannot be looked up (a name too long).
-        while path:
-            try:
-                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
-            except (FileNotFoundError, NotADirectoryError):  # missing, or below a file
-                path = os.path.dirname(path)
-                continue
-            except OSError as exc:
-                raise ConfigError(f"out_dir: {exc.strerror}: {path!r}") from None
-            if not is_dir:
-                raise ConfigError(f"out_dir is not a directory: {path}")
-            break
+        out_dir = os.fspath(self.out_dir)
+        if "\0" in os.fsdecode(out_dir):  # no file name holds one
+            raise ConfigError(f"out_dir must not contain a NUL character, got {out_dir!r}")
+        # The run makes out_dir and any missing parents: what exists must be a
+        # directory, and each name still to be made must fit its file system.
+        path, missing = out_dir, []
+        while path and not (mode := file_mode("out_dir", path)):
+            missing.append(os.path.basename(path))
+            path = os.path.dirname(path)
+        if path and not stat.S_ISDIR(mode):
+            raise ConfigError(f"out_dir is not a directory: {path}")
+        if any(len(os.fsencode(n)) > os.pathconf(path or ".", "PC_NAME_MAX") for n in missing):
+            raise ConfigError(f"out_dir: {os.strerror(errno.ENAMETOOLONG)}: {out_dir!r}")
         checked_source("lut", self.lut_source)
         checked_source("daylight", self.daylight_source)
 
@@ -169,10 +166,24 @@ def checked_source(key: str, spec: str):
         kind, params = parse_source(key, spec)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    if kind == "csv" and not os.path.isfile(params["path"]):
-        problem = "not a file" if os.path.exists(params["path"]) else "file not found"
+    if kind == "csv" and not stat.S_ISREG(mode := file_mode(key, params["path"])):
+        problem = "not a file" if mode else "file not found"
         raise ConfigError(f"{key}: {problem}: {params['path']!r}")
     return kind, params
+
+
+def file_mode(key: str, path) -> int:
+    """os.stat(path).st_mode, or 0 if nothing is there; any other failure is a ConfigError for key.
+
+    isfile and exists say False on every error, so they cannot tell a missing
+    path from one that cannot be looked up (a name too long, no permission).
+    """
+    try:
+        return os.stat(path).st_mode
+    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in path
+        return 0
+    except OSError as exc:
+        raise ConfigError(f"{key}: {exc.strerror}: {path!r}") from None
 
 
 def build_lut(cfg: SimConfig) -> plant.ProcessLut:

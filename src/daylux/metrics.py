@@ -14,6 +14,7 @@ heuristic, so two runs of the same config always agree on what was counted.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 from .signals import check_type
 
@@ -22,39 +23,15 @@ NARROW_BAND = (-5, 5)
 PERCEPTION_BAND = (93, 107)
 
 
-class BandReport:
-    """The statistics of one run; see band_report.
-
-    n_steps counts every record, n_steady those past the warm-up cut.
-    frac_in_shell is the share in the wide band but outside the narrow one.
-    """
-
-    def __init__(self, warmup_steps: int, n_steps: int, n_steady: int, eps_min: int,
-                 eps_max: int, frac_in_wide: float, frac_in_narrow: float, frac_in_shell: float,
-                 frac_meas_in_perception: float, rms_eps: float) -> None:
-        self.warmup_steps = warmup_steps
-        self.n_steps = n_steps
-        self.n_steady = n_steady
-        self.eps_min = eps_min
-        self.eps_max = eps_max
-        self.frac_in_wide = frac_in_wide
-        self.frac_in_narrow = frac_in_narrow
-        self.frac_in_shell = frac_in_shell
-        self.frac_meas_in_perception = frac_meas_in_perception
-        self.rms_eps = rms_eps
-        self.valid = n_steady > 0
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is BandReport else NotImplemented
-
-
-def band_report(records, warmup_steps: int) -> BandReport:
+def band_report(records, warmup_steps: int) -> SimpleNamespace:
     """Statistics of a run, in one pass over any iterable of records.
 
-    The band statistics cover records with k >= warmup_steps.  When nothing
-    survives the cut the report carries n_steady=0, zero fractions and
-    valid=False rather than raising; a saturated or truncated run still gets
-    an honest summary.
+    n_steps counts every record, n_steady those with k >= warmup_steps, and
+    the band statistics cover only the latter.  frac_in_shell is the share in
+    the wide band but outside the narrow one.  When nothing survives the cut
+    the report carries n_steady=0, zero fractions and valid=False rather than
+    raising; a saturated or truncated run still gets an honest summary.
+    vars() of a report lists its fields in the order they are given below.
     """
     check_type(warmup_steps, "warmup_steps", "int")
     if warmup_steps < 0:
@@ -81,8 +58,12 @@ def band_report(records, warmup_steps: int) -> BandReport:
             n_percep += 1
         sq += e * e  # in record order, so rms_eps is the same float on every run
     d = n or 1  # no steady record: every count is 0, so every fraction is 0.0
-    return BandReport(warmup_steps, n_steps, n, eps_min, eps_max, n_wide / d, n_narrow / d,
-                      n_shell / d, n_percep / d, math.sqrt(sq / d))
+    return SimpleNamespace(
+        warmup_steps=warmup_steps, n_steps=n_steps, n_steady=n, eps_min=eps_min,
+        eps_max=eps_max, frac_in_wide=n_wide / d, frac_in_narrow=n_narrow / d,
+        frac_in_shell=n_shell / d, frac_meas_in_perception=n_percep / d,
+        rms_eps=math.sqrt(sq / d), valid=n > 0,
+    )
 
 
 def extreme_rarity(records, warmup_steps: int) -> float:

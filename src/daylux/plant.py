@@ -20,11 +20,6 @@ import math
 from .rng import SplitMix64
 from .signals import D8BV_MAX, check_d8bv, check_type, round_half_away
 
-FAST_BASE = 40
-FAST_AMPLITUDE = 60
-FAST_STEP_PROB = 0.05
-FAST_MAX_JUMP = 50
-
 # The parameters of each generated daylight kind and their types.  The
 # constant, step and ramp specs give their values by position, in this order.
 DAYLIGHT_PARAMS = {
@@ -146,7 +141,7 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
     if check_type(length, "trajectory length", "int") < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
     if check_type(kind, "kind", "str") not in DAYLIGHT_PARAMS:
-        raise ValueError(f"unknown daylight kind {kind!r} (expected constant, step, ramp or fast)")
+        raise ValueError(f"unknown daylight kind {kind!r} (expected {', '.join(DAYLIGHT_PARAMS)})")
     extras = sorted(set(params) - DAYLIGHT_PARAMS[kind].keys())
     if extras:
         raise ValueError(f"unexpected parameter(s) for daylight kind {kind!r}: {', '.join(extras)}")
@@ -163,21 +158,18 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
         samples = tuple(c0 if k < k_switch else c1 for k in range(length))
         return DaylightTrajectory(samples)
-    if length == 1:
-        return DaylightTrajectory((c0,))
-    samples = tuple(
-        round_half_away(c0 + (c1 - c0) * k / (length - 1)) for k in range(length)
-    )
+    span = max(length - 1, 1)  # one sample is c0
+    samples = tuple(round_half_away(c0 + (c1 - c0) * k / span) for k in range(length))
     return DaylightTrajectory(samples)
 
 
 def _gen_fast_changes(
     length: int,
     seed: int,
-    base: int = FAST_BASE,
-    amplitude: int = FAST_AMPLITUDE,
-    step_prob: float = FAST_STEP_PROB,
-    max_jump: int = FAST_MAX_JUMP,
+    base: int = 40,
+    amplitude: int = 60,
+    step_prob: float = 0.05,
+    max_jump: int = 50,
 ) -> DaylightTrajectory:
     """Seeded walk of piecewise ramps with occasional jumps.
 

@@ -11,13 +11,7 @@ import os
 from operator import attrgetter
 
 from .loop import StepRecord
-from .metrics import (
-    NARROW_BAND,
-    PERCEPTION_BAND,
-    WIDE_BAND,
-    BandReport,
-    band_report,
-)
+from .metrics import NARROW_BAND, PERCEPTION_BAND, WIDE_BAND, band_report
 from .svgplot import polyline_chart
 
 TRAJECTORY_HEADER = (
@@ -51,7 +45,7 @@ _CSV_CELLS = {
     stem: attrgetter(*(_FIELD_OF[c] for c in ("k", *columns))) for stem, _, _, columns, _ in PANELS
 }
 
-# The BandReport fields of summary.txt's key=value block, in file order.
+# The band_report fields of summary.txt's key=value block, in file order.
 SUMMARY_KEYS = (
     "warmup_steps", "n_steady", "eps_min", "eps_max", "frac_in_wide", "frac_in_narrow",
     "frac_meas_in_perception", "rms_eps", "valid",
@@ -98,7 +92,7 @@ def write_panel_svgs(records, out_dir) -> list[str]:
     return paths
 
 
-def summary_text(report: BandReport) -> str:
+def summary_text(report) -> str:
     """Human-readable digest followed by the machine-readable block."""
     shell = report.frac_in_shell
     lines = [
@@ -126,7 +120,7 @@ def summary_text(report: BandReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_artifacts(records, warmup_steps: int, out_dir) -> tuple[BandReport, str]:
+def write_run_artifacts(records, warmup_steps: int, out_dir):
     """Write every artifact of a run (ARTIFACT_NAMES) into out_dir; returns report and summary."""
     report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
     os.makedirs(out_dir, exist_ok=True)

@@ -15,7 +15,8 @@ from pathlib import Path
 import daylux
 from daylux.config import SimConfig
 from daylux.loop import StepRecord, run_simulation
-from daylux.report import TRAJECTORY_HEADER
+from daylux.metrics import band_report
+from daylux.report import TRAJECTORY_HEADER, summary_text
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = runpy.run_path(str(BENCH / "tracing.py"))
@@ -101,3 +102,18 @@ def test_the_benchmark_names_the_same_columns_and_record_fields():
     columns = _bench_pin("TRAJECTORY_COLUMNS", "run.py")
     assert list(columns) == TRAJECTORY_HEADER.split(",")
     assert tuple(_bench_pin("RECORD_FIELDS", "run.py")) == tuple(StepRecord.__slots__)
+
+
+def test_the_benchmark_reads_every_summary_key_it_projects():
+    # bench/run.py digests summary.txt by reading each of its keys from the
+    # key=value block, so a renamed report field fails every benchmark
+    # operation with a KeyError; here it fails a tier-1 test instead
+    keys = _bench_pin("SUMMARY_KEYS", "run.py")
+    assert keys
+    records, _ = run_simulation(SimConfig(steps=60, daylight_source="constant:30"))
+    for warmup in (20, 60):  # a valid report, then one with nothing steady
+        report = band_report(records, warmup)
+        assert report.valid == (warmup < 60)
+        block = summary_text(report).split("\n\n", 1)[1]
+        kv = dict(line.split("=", 1) for line in block.splitlines())
+        assert [k for k in keys if k not in kv] == [], warmup

@@ -433,6 +433,31 @@ def test_an_out_dir_too_long_to_look_up_exits_1_before_the_run(tmp_path, monkeyp
     assert os.listdir(tmp_path) == []
 
 
+def test_an_out_dir_name_too_long_below_a_missing_dir_exits_1_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    # stat of x/<long>/b fails on the missing x first, so the walk alone
+    # cannot see the long name; the names to be made are checked against
+    # the existing ancestor's limit
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    out_dir = f"x/{'a' * (os.pathconf(tmp_path, 'PC_NAME_MAX') + 1)}/b"
+    assert main(["simulate", "--steps", "30", "--out-dir", out_dir]) == 1
+    assert capsys.readouterr() == ("", f"error: out_dir: File name too long: {out_dir!r}\n")
+    assert not os.path.exists("x")
+
+
+@pytest.mark.parametrize("argv", [["lut", "inspect", "--lut"], ["simulate", "--daylight"]])
+def test_a_csv_path_too_long_to_look_up_names_the_reason(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
+    too_long = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    assert main([*argv, f"csv:{too_long}"]) == 1
+    key = "lut" if argv[0] == "lut" else "daylight"
+    assert capsys.readouterr() == ("", f"error: {key}: File name too long: {too_long!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_csv_path_is_quoted_in_its_message(tmp_path, monkeypatch, capsys):
     # a NUL from a config file must not reach stderr as a raw byte
     cfg = tmp_path / "run.cfg"

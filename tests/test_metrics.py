@@ -1,5 +1,7 @@
 """Tests for steady-state band statistics."""
 
+import types
+
 import pytest
 
 from daylux.loop import StepRecord
@@ -10,7 +12,7 @@ from daylux.metrics import (
     band_report,
     extreme_rarity,
 )
-from daylux.report import summary_text
+from daylux.report import SUMMARY_KEYS, summary_text
 
 
 def rec(k, eps, e_measured=100):
@@ -165,3 +167,17 @@ def test_kv_block_format():
     ]
     nothing_steady = summary_text(band_report(recs, 20)).split("\n\n")[1]
     assert nothing_steady.splitlines()[-3:] == ["rms_eps=0", "valid=0", "extreme_shell_frac=0"]
+
+
+REPORT_FIELDS = [
+    "warmup_steps", "n_steps", "n_steady", "eps_min", "eps_max", "frac_in_wide",
+    "frac_in_narrow", "frac_in_shell", "frac_meas_in_perception", "rms_eps", "valid",
+]
+
+
+@pytest.mark.parametrize("warmup", [0, 100])  # some steady records, then none
+def test_a_report_is_plain_data_with_its_fields_in_order(warmup):
+    rep = band_report([rec(k, k % 7 - 3) for k in range(20)], warmup)
+    assert type(rep) is types.SimpleNamespace
+    assert list(vars(rep)) == REPORT_FIELDS
+    assert set(SUMMARY_KEYS) <= set(REPORT_FIELDS)
