@@ -7,8 +7,8 @@ Two commands:
   daylux lut        generate or inspect command-to-illuminance tables
 
 Exit codes: 0 success, 1 validation/usage error, a diverged run or a run too
-large for memory, 2 I/O error.  A reader that closes stdout early (`daylux
-lut inspect | head -1`) is not an error: the exit code is 0.
+large for memory, 2 I/O error, 130 interrupted (Ctrl-C).  A reader that closes
+stdout early (`daylux lut inspect | head -1`) is not an error: the exit code is 0.
 """
 
 from __future__ import annotations
@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def run_command(parser: _Parser, args: list[str]) -> int:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import codecs
 import math
+from collections import deque
+from itertools import repeat
 
 from .rng import SplitMix64
 from .signals import D8BV_MAX, check_d8bv, check_type, round_half_away
@@ -118,15 +120,16 @@ class DaylightTrajectory:
 
     def __init__(self, samples: tuple[int, ...]) -> None:
         samples = tuple(samples)  # the caller's list may change later; a tuple is not copied
+        try:  # one check_d8bv call per sample, driven from C
+            deque(map(check_d8bv, samples, repeat("daylight sample")), maxlen=0)
+            self.samples = samples
+            return
+        except ValueError:
+            pass
+        # Only a failure names the step (formatting it for every sample cost
+        # milliseconds), and outside the handler, so no context chains.
         for k, s in enumerate(samples):
-            try:
-                check_d8bv(s, "daylight sample")
-            except ValueError as exc:
-                # the step goes into the name only on failure: formatting it
-                # for every sample cost milliseconds on long trajectories
-                msg = str(exc).replace("daylight sample", f"daylight sample at k={k}", 1)
-                raise ValueError(msg) from None
-        self.samples = samples
+            check_d8bv(s, f"daylight sample at k={k}")
 
 
 def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTrajectory:
@@ -194,6 +197,7 @@ def _gen_fast_changes(
     slope = -slope_span + 2 * slope_span * draw()
     level = float(base)
     samples = [base]
+    append = samples.append
     for _ in range(1, length):
         if draw() < step_prob:
             level += -max_jump + 2 * max_jump * draw()
@@ -204,7 +208,7 @@ def _gen_fast_changes(
             level = float(lo)
         elif level > hi:
             level = float(hi)
-        samples.append(round_half_away(level))
+        append(math.floor(level + 0.5))  # round_half_away, as level >= lo >= 0
     return DaylightTrajectory(samples)
 
 

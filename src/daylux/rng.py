@@ -38,7 +38,8 @@ as a net's initial weights, stays scalar.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -118,5 +119,5 @@ def _blocks(states: int):
         z = ((z ^ (z >> 30)) & _LANE_MASK) * _MIX1 & _LANE_MASK
         z = ((z ^ (z >> 27)) & _LANE_MASK) * _MIX2 & _LANE_MASK
         words = memoryview(((z ^ (z >> 31)) >> 11).to_bytes(_BLOCK_BYTES, sys.byteorder))
-        yield map(_DOUBLE_UNIT.__mul__, words.cast("Q")[_LOW_WORDS])
+        yield map(mul, repeat(_DOUBLE_UNIT), words.cast("Q")[_LOW_WORDS])
         states = (states + _BLOCK_STEP) & _LANE_MASK

@@ -14,7 +14,7 @@ import daylux.cli as cli_mod
 from daylux.cli import build_parser, main, parse_config
 from daylux.config import FIELDS, ConfigError, SimConfig, apply_settings
 from daylux.plant import load_lut_csv
-from daylux.report import TRAJECTORY_HEADER
+from daylux.report import ARTIFACT_NAMES, TRAJECTORY_HEADER
 
 
 def run_simulate(tmp_path, *extra, steps=40):
@@ -481,6 +481,24 @@ def test_a_run_too_large_for_memory_exits_1_with_one_error_line(capsys):
     argv = ["simulate", "--steps", "1000000000000000", "--daylight", "constant:30"]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_an_interrupt_exits_130_with_one_error_line(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d"
+    assert main(["simulate", "--steps", "50", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "run_simulation", interrupted)
+    try:
+        code = main(["simulate", "--steps", "50", "--out-dir", str(out)])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert not set(os.listdir(out)) & set(ARTIFACT_NAMES)  # the earlier run's went too
 
 
 PANELS = ("command", "error", "illuminance")

@@ -308,6 +308,10 @@ def test_daylight_trajectory_validates_samples():
         DaylightTrajectory((0, 500))
     with pytest.raises(ValueError, match=r"^daylight sample at k=2 must be an int, got float$"):
         DaylightTrajectory((0, 1, 2.0, 300))
+    with pytest.raises(ValueError, match=r"^daylight sample at k=0 must be an int, got bool$"):
+        DaylightTrajectory((True, 1, 2))
+    with pytest.raises(ValueError, match=r"^daylight sample at k=3 must be in \[0, 255\], got -1$"):
+        DaylightTrajectory((0, 1, 2, -1))
     assert DaylightTrajectory(()).samples == ()
 
 
