@@ -23,9 +23,6 @@ from .plant import lut_eval, lut_inverse, save_lut_csv
 from .report import ARTIFACT_NAMES, write_run_artifacts
 from .signals import check_d8bv
 
-class UsageError(ValueError):
-    """Bad flags or arguments; maps to exit code 1."""
-
 
 class _SetOnce(argparse.Action):
     """Store a flag's value, or its const if it takes none; a repeated flag is an error."""
@@ -50,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self.register("action", None, _SetOnce)  # the action of every plain flag
 
-    def error(self, message):  # keep exit-code control in main()
-        raise UsageError(message)
+    def error(self, message):  # keep exit-code control in main(): a ValueError exits 1
+        raise ValueError(message)
 
 
 def build_parser() -> _Parser:
@@ -98,15 +95,25 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     return cfg
 
 
-def cmd_simulate(cfg: SimConfig) -> int:
-    paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
-    # A run that fails leaves no artifacts, so none of an earlier run's may
-    # stay.  A file or link goes; a directory stops the run before it starts.
+def _remove_artifacts(paths: list[str]) -> None:
+    """Remove the file or link (never its target) at each path; a directory raises."""
     for path in paths:
         if os.path.lexists(path):
             os.remove(path)
+
+
+def cmd_simulate(cfg: SimConfig) -> int:
+    paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
+    # A run that fails leaves no artifacts, so none of an earlier run's may
+    # stay: a directory at an artifact name stops the run before it starts,
+    # and a write that fails, or is interrupted, takes the set it began.
+    _remove_artifacts(paths)
     records, _nets = run_simulation(cfg)
-    report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
+    try:
+        report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
+    except BaseException:
+        _remove_artifacts(paths)
+        raise
     print(f"wrote {paths[0]} ({report.n_steps} rows)")
     for path in paths[1:]:
         print(f"wrote {path}")
@@ -153,7 +160,7 @@ def main(argv=None) -> int:
         # still buffered goes to devnull, so the flush at exit is quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except ValueError as exc:  # UsageError, ConfigError, TableFormatError
+    except ValueError as exc:  # bad flags, ConfigError, TableFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
@@ -162,8 +169,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it
-        print("error: interrupted", file=sys.stderr)
+    except KeyboardInterrupt as exc:  # 128 + SIGINT, as a shell reports it
+        print(f"error: interrupted {exc}".rstrip(), file=sys.stderr)  # run_loop names the step
         return 130
 
 

@@ -166,10 +166,16 @@ def checked_source(key: str, spec: str):
         kind, params = parse_source(key, spec)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    if kind == "csv" and not stat.S_ISREG(mode := file_mode(key, params["path"])):
-        problem = "not a file" if mode else "file not found"
-        raise ConfigError(f"{key}: {problem}: {params['path']!r}")
+    if kind == "csv":
+        check_file(key, params["path"])
     return kind, params
+
+
+def check_file(key: str, path) -> None:
+    """Raise a ConfigError for key unless path names a regular file."""
+    if not stat.S_ISREG(mode := file_mode(key, path)):
+        problem = "not a file" if mode else "file not found"
+        raise ConfigError(f"{key}: {problem}: {path!r}")
 
 
 def file_mode(key: str, path) -> int:
@@ -208,6 +214,7 @@ def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
 
 def load_config_file(path) -> dict[str, str]:
     """Read `key = value` lines; returns raw strings keyed by name."""
+    check_file("config", path)
     settings: dict[str, str] = {}
     line_of: dict[str, int] = {}
     for lineno, line in plant.read_lines(path, ConfigError):

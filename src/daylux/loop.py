@@ -269,7 +269,8 @@ def run_loop(
     """Drive loop_step over a whole daylight trajectory.
 
     Raises DivergenceError naming the step and the net when either net's
-    output or loss stops being finite.
+    output or loss stops being finite, and a KeyboardInterrupt naming the
+    step it landed in.
     """
     state = LoopState()
     records = []
@@ -278,6 +279,8 @@ def run_loop(
             record = loop_step(state, ctl, inv, lut, sample, cfg)
         except DivergenceError as exc:
             raise DivergenceError(exc.net, state.k) from None
+        except KeyboardInterrupt:
+            raise KeyboardInterrupt(f"at step k={state.k}") from None
         records.append(record)
     return records
 

@@ -42,7 +42,7 @@ class ProcessLut:
     `table` holds the answer for each of the 256 commands, computed once from
     the knots.  Between knots it interpolates linearly, in exact integers,
     and rounds half away from zero; outside the knot range it extends with
-    the endpoint value.  Equality, hash and repr see only the knots.
+    the endpoint value.
     """
 
     def __init__(self, knots: tuple[tuple[int, int], ...]) -> None:
@@ -65,15 +65,6 @@ class ProcessLut:
         table += [knots[-1][1]] * (D8BV_MAX + 1 - knots[-1][0])
         self.knots = knots
         self.table = tuple(table)
-
-    def __eq__(self, other):
-        return self.knots == other.knots if type(other) is ProcessLut else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.knots)
-
-    def __repr__(self) -> str:
-        return f"ProcessLut(knots={self.knots!r})"
 
 
 def lut_eval(lut: ProcessLut, u: int) -> int:

@@ -68,9 +68,8 @@ def write_trajectory_csv(records, path) -> None:
             )
 
 
-def write_panel_csvs(records, out_dir) -> list[str]:
+def write_panel_csvs(records, out_dir) -> None:
     """One plot-data file per panel: k and the panel's trajectory columns."""
-    paths = []
     for stem, _, _, columns, _ in PANELS:
         p = os.path.join(out_dir, f"panel_{stem}.csv")
         line = ",".join(["%s"] * (len(columns) + 1)) + "\n"
@@ -78,18 +77,12 @@ def write_panel_csvs(records, out_dir) -> list[str]:
             fh.write(",".join(("k", *columns)) + "\n")
             for row in map(_CSV_CELLS[stem], records):
                 fh.write(line % row)
-        paths.append(p)
-    return paths
 
 
-def write_panel_svgs(records, out_dir) -> list[str]:
-    paths = []
+def write_panel_svgs(records, out_dir) -> None:
     for stem, title, y_label, _, series in PANELS:
-        p = os.path.join(out_dir, f"panel_{stem}.svg")
         charted = [(name, list(map(attrgetter(_FIELD_OF[name]), records))) for name in series]
-        polyline_chart(p, title, charted, y_label=y_label)
-        paths.append(p)
-    return paths
+        polyline_chart(os.path.join(out_dir, f"panel_{stem}.svg"), title, charted, y_label)
 
 
 def summary_text(report) -> str:

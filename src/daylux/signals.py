@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from math import ceil, floor
 
-D8BV_MIN = 0
 D8BV_MAX = 255
 EPS_SPAN = 255
 DEPS_SPAN = 510

@@ -32,18 +32,17 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def polyline_chart(path, title: str, series, y_label: str = "") -> None:
+def polyline_chart(path, title: str, series, y_label: str) -> None:
     """Write one chart; `series` is a list of (name, list-of-numbers) pairs.
 
     All series share the x axis 0..n-1, labelled k; the y range is the joint
     min/max padded by 5% (or a unit band when flat).  Each polyline streams
-    to the file CHUNK_POINTS points at a time.
+    to the file CHUNK_POINTS points at a time.  The title, y label and names
+    are written as given: report.PANELS holds them, and none needs escaping.
     """
-    named = [(name, values if type(values) is list else list(values)) for name, values in series]
-    n = max((len(v) for _, v in named), default=0)
-    # min/max see the points as floats in series order, NaNs included
-    y_lo = min(map(float, chain.from_iterable(v for _, v in named)), default=0.0)
-    y_hi = max(map(float, chain.from_iterable(v for _, v in named)), default=0.0)
+    n = max((len(v) for _, v in series), default=0)
+    y_lo = min(chain.from_iterable(v for _, v in series), default=0.0)
+    y_hi = max(chain.from_iterable(v for _, v in series), default=0.0)
     if y_hi == y_lo:
         y_lo -= 1.0
         y_hi += 1.0
@@ -66,7 +65,7 @@ def polyline_chart(path, title: str, series, y_label: str = "") -> None:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="18" font-family="monospace" font-size="13" '
-        f'text-anchor="middle">{_esc(title)}</text>',
+        f'text-anchor="middle">{title}</text>',
     ]
     axis_y = MARGIN_T + plot_h
     out.append(
@@ -102,20 +101,19 @@ def polyline_chart(path, title: str, series, y_label: str = "") -> None:
         f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 6}" font-family="monospace" '
         'font-size="11" text-anchor="middle">k</text>'
     )
-    if y_label:
-        out.append(
-            f'<text x="14" y="{MARGIN_T + plot_h // 2}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle" '
-            f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{_esc(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="14" y="{MARGIN_T + plot_h // 2}" font-family="monospace" '
+        f'font-size="11" text-anchor="middle" '
+        f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{y_label}</text>'
+    )
     # A chart has at most n distinct x positions and, on the 8-bit grid, a
     # few hundred distinct y values, so each is formatted once, not per point.
     # x >= MARGIN_L, so its format never gives the "-0" that _fmt guards.
     xs = [f"{MARGIN_L + plot_w * (i / x_hi):.6g}," for i in range(n)]
-    ys = {v: _fmt(sy(float(v))) for v in set(chain.from_iterable(v for _, v in named))}
+    ys = {v: _fmt(sy(v)) for v in set(chain.from_iterable(v for _, v in series))}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
-        for idx, (name, values) in enumerate(named):
+        for idx, (name, values) in enumerate(series):
             color = PALETTE[idx % len(PALETTE)]
             if values:
                 # map stops at its shorter input: a short series ends at its last point
@@ -130,10 +128,6 @@ def polyline_chart(path, title: str, series, y_label: str = "") -> None:
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                 f'stroke="{color}" stroke-width="2"/>\n'
                 f'<text x="{lx + 22}" y="{ly}" font-family="monospace" font-size="10">'
-                f"{_esc(name)}</text>\n"
+                f"{name}</text>\n"
             )
         fh.write("</svg>\n")
-
-
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

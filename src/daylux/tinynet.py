@@ -50,9 +50,6 @@ class TinyNet:
         self.learning_rate = learning_rate
         self.use_bias = use_bias
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is TinyNet else NotImplemented
-
 
 def init_network(
     n_inputs: int,

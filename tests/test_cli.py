@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import errno
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +126,16 @@ def test_missing_table_on_inspect_exits_1(tmp_path, capsys):
     absent = tmp_path / "absent.csv"
     assert main(["lut", "inspect", "--lut", f"csv:{absent}"]) == 1
     assert capsys.readouterr() == ("", f"error: lut: file not found: {str(absent)!r}\n")
+
+
+@pytest.mark.parametrize("name, problem", [("nope.cfg", "file not found"), ("cfgdir", "not a file")])
+def test_a_config_path_that_names_no_file_exits_1_naming_it(tmp_path, capsys, name, problem):
+    # The lookup rule of a csv: source: nothing read, nothing written, exit 1.
+    (tmp_path / "cfgdir").mkdir()
+    config = str(tmp_path / name)
+    assert main(["simulate", "--config", config, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr() == ("", f"error: config: {problem}: {config!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_help_exits_0(capsys):
@@ -499,6 +511,58 @@ def test_an_interrupt_exits_130_with_one_error_line(tmp_path, monkeypatch, capsy
     assert code == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
     assert not set(os.listdir(out)) & set(ARTIFACT_NAMES)  # the earlier run's went too
+
+
+def test_an_interrupt_in_the_loop_names_its_step(tmp_path, monkeypatch, capsys):
+    real_step = daylux.loop.loop_step
+
+    def step(state, *args):
+        if state.k == 3:
+            raise KeyboardInterrupt
+        return real_step(state, *args)
+
+    monkeypatch.setattr(daylux.loop, "loop_step", step)
+    try:
+        code = main(["simulate", "--steps", "50", "--out-dir", str(tmp_path / "d")])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted at step k=3\n")
+    assert not (tmp_path / "d").exists()
+
+
+def test_an_interrupt_while_writing_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    def interrupted(records, out_dir):
+        raise KeyboardInterrupt
+
+    # the trajectory and the panel CSVs are written before the SVGs
+    monkeypatch.setattr(daylux.report, "write_panel_svgs", interrupted)
+    out = tmp_path / "d"
+    try:
+        code = main(["simulate", "--steps", "50", "--out-dir", str(out)])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+    assert os.listdir(out) == []
+
+
+def test_a_write_that_fails_leaves_no_artifact(tmp_path):
+    # A file size limit in the child alone: past it, write raises EFBIG
+    # (Python ignores SIGXFSZ), as a full disk raises ENOSPC.
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an artifact\n")
+    script = "import sys; from daylux.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--out-dir", str(out)],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (60_000, 60_000)),
+    )
+    assert child.returncode == 2
+    assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
+    assert os.listdir(out) == ["notes.txt"]
 
 
 PANELS = ("command", "error", "illuminance")

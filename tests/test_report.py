@@ -14,6 +14,7 @@ from daylux.loop import StepRecord, run_simulation
 from daylux.metrics import band_report
 from daylux.report import (
     ARTIFACT_NAMES,
+    PANELS,
     TRAJECTORY_HEADER,
     format_real,
     summary_text,
@@ -59,11 +60,11 @@ def test_step_record_fields_follow_the_trajectory_columns():
 
 
 def test_panel_csv_headers(tmp_path):
-    paths = write_panel_csvs(sample_records(5), tmp_path)
+    write_panel_csvs(sample_records(5), tmp_path)
     heads = {}
-    for p in map(str, paths):
-        with open(p) as fh:
-            heads[p.rsplit("/", 1)[-1]] = fh.readline().strip()
+    for stem, *_ in PANELS:
+        with open(tmp_path / f"panel_{stem}.csv") as fh:
+            heads[f"panel_{stem}.csv"] = fh.readline().strip()
     assert heads["panel_illuminance.csv"] == "k,E_desired,E_daylight,E_electric,E_measured"
     assert heads["panel_error.csv"] == "k,eps,deps"
     assert heads["panel_command.csv"] == "k,U,U_IM"
@@ -74,8 +75,9 @@ def test_panel_csvs_are_the_trajectory_projected_onto_their_columns(overrides, t
     recs, _ = run_simulation(SimConfig(**overrides))
     write_trajectory_csv(recs, tmp_path / "trajectory.csv")
     rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()]
-    paths = write_panel_csvs(recs, tmp_path)
-    assert [str(p).rsplit("/", 1)[-1] for p in paths] == [
+    write_panel_csvs(recs, tmp_path)
+    paths = [tmp_path / f"panel_{stem}.csv" for stem, *_ in PANELS]
+    assert [p.name for p in paths] == [
         "panel_illuminance.csv", "panel_error.csv", "panel_command.csv",
     ]
     for p in paths:
@@ -162,11 +164,11 @@ SVG_DIGESTS = [
 @pytest.mark.parametrize("overrides,digests", SVG_DIGESTS)
 def test_panel_svg_digests_are_frozen(overrides, digests, tmp_path):
     recs, _ = run_simulation(SimConfig(**overrides))
-    paths = write_panel_svgs(recs, tmp_path)
+    write_panel_svgs(recs, tmp_path)
     got = {}
-    for p in map(str, paths):
-        with open(p, "rb") as fh:
-            got[p.rsplit("/", 1)[-1]] = hashlib.sha256(fh.read()).hexdigest()
+    for stem, *_ in PANELS:
+        with open(tmp_path / f"panel_{stem}.svg", "rb") as fh:
+            got[f"panel_{stem}.svg"] = hashlib.sha256(fh.read()).hexdigest()
     assert got == digests
 
 

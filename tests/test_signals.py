@@ -6,7 +6,6 @@ import pytest
 
 from daylux.signals import (
     D8BV_MAX,
-    D8BV_MIN,
     check_d8bv,
     check_type,
     clamp8_sum,
@@ -105,7 +104,7 @@ def test_clamp8_sum():
 
 
 def test_check_d8bv_accepts_range():
-    for v in (D8BV_MIN, 1, 254, D8BV_MAX):
+    for v in (0, 1, 254, D8BV_MAX):
         assert check_d8bv(v) == v
 
 

