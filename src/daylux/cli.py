@@ -102,17 +102,34 @@ def _remove_artifacts(paths: list[str]) -> None:
             os.remove(path)
 
 
+def _missing_dirs(path) -> list[str]:
+    """The directories of path that do not exist yet, innermost first."""
+    missing = []
+    path = os.path.normpath(path)  # no trailing separator or "..": one name per directory
+    while path and not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def cmd_simulate(cfg: SimConfig) -> int:
     paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
     # A run that fails leaves no artifacts, so none of an earlier run's may
     # stay: a directory at an artifact name stops the run before it starts,
-    # and a write that fails, or is interrupted, takes the set it began.
+    # and a write that fails, or is interrupted, takes the set it began and
+    # the directories it made.
     _remove_artifacts(paths)
+    made = _missing_dirs(cfg.out_dir)
     records, _nets = run_simulation(cfg)
     try:
         report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
     except BaseException:
         _remove_artifacts(paths)
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:  # not made after all, or no longer empty
+                pass
         raise
     print(f"wrote {paths[0]} ({report.n_steps} rows)")
     for path in paths[1:]:
@@ -129,7 +146,13 @@ def cmd_lut(ns: argparse.Namespace) -> int:
         check_d8bv(query_e, "query_e")
     table = build_lut(SimConfig(lut_source=ns.lut))
     if ns.lut_command == "generate":
-        save_lut_csv(table, ns.out)
+        # As simulate's artifacts: a cut table would load as a valid shorter one.
+        _remove_artifacts([ns.out])
+        try:
+            save_lut_csv(table, ns.out)
+        except BaseException:
+            _remove_artifacts([ns.out])
+            raise
         print(f"wrote {ns.out} ({len(table.knots)} knots)")
         return 0
     print(f"table: {ns.lut}")

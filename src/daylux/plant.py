@@ -15,6 +15,7 @@ other profile can be supplied as a CSV file.
 from __future__ import annotations
 
 import codecs
+import functools
 import math
 from collections import deque
 from itertools import repeat
@@ -49,9 +50,12 @@ class ProcessLut:
         knots = tuple(map(tuple, knots))  # the caller's lists may change later
         if len(knots) < 2:
             raise ValueError(f"a LUT needs at least 2 knots, got {len(knots)}")
+        # check_d8bv only words a failure: a run's count of its calls must not
+        # depend on whether its table came from synth_default_lut's cache.
         for u, e in knots:
-            check_d8bv(u, "LUT knot u")
-            check_d8bv(e, "LUT knot e")
+            if not (type(u) is type(e) is int and 0 <= u <= D8BV_MAX and 0 <= e <= D8BV_MAX):
+                check_d8bv(u, "LUT knot u")
+                check_d8bv(e, "LUT knot e")
         table = [knots[0][1]] * knots[0][0]
         for (u0, e0), (u1, e1) in zip(knots, knots[1:]):
             if u1 <= u0:
@@ -89,7 +93,9 @@ def synth_default_lut(
     """Power-law stand-in table: e(u) = round(e_max * (u/255)**gamma_shape).
 
     Knots sit on an even u grid covering [0, 255], so e(0)=0 and e(255)=e_max.
-    e_max must leave headroom above the usual 100 setpoint.
+    e_max must leave headroom above the usual 100 setpoint.  Each argument set
+    is built once per process: the same arguments return the same table
+    object, shared by every caller, which must not change it.
     """
     if not 120 <= check_type(e_max, "e_max", "int") <= 255:
         raise ValueError(f"e_max must be in [120, 255], got {e_max}")
@@ -98,6 +104,13 @@ def synth_default_lut(
     # Over 256 knots cannot be strictly increasing on the 8-bit u grid.
     if not 8 <= check_type(knot_count, "knots", "int") <= D8BV_MAX + 1:
         raise ValueError(f"knots must be in [8, 256], got {knot_count}")
+    return _synth_lut(e_max, gamma_shape, knot_count)
+
+
+# Called with checked values only, so a bad argument gets its own message, not
+# an unhashable-key error.  An int shape and its float share a table, as ** would.
+@functools.lru_cache(maxsize=16)
+def _synth_lut(e_max: int, gamma_shape: float, knot_count: int) -> ProcessLut:
     knots = []
     for i in range(knot_count):
         u = round_half_away(i * D8BV_MAX / (knot_count - 1))
@@ -150,11 +163,12 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
         k_switch = check_type(params.get("k_switch", length // 2), "k_switch", "int")
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
-        samples = tuple(c0 if k < k_switch else c1 for k in range(length))
-        return DaylightTrajectory(samples)
+        n0 = min(k_switch, length)
+        return DaylightTrajectory((c0,) * n0 + (c1,) * (length - n0))
     span = max(length - 1, 1)  # one sample is c0
-    samples = tuple(round_half_away(c0 + (c1 - c0) * k / span) for k in range(length))
-    return DaylightTrajectory(samples)
+    rise = c1 - c0
+    # round_half_away, as every level lies between c0 >= 0 and c1 >= 0
+    return DaylightTrajectory([math.floor(c0 + rise * k / span + 0.5) for k in range(length)])
 
 
 def _gen_fast_changes(
@@ -288,16 +302,18 @@ def _read_int_rows(path, header: tuple[str, str]):
         cells = line.split(",")
         if len(cells) != 2:
             raise TableFormatError(f"{path}: expected 2 cells at line {lineno}")
-        values = []
-        for name, cell in zip(header, cells):
-            try:
-                values.append(int(cell))
-            except ValueError:  # also a cell past int()'s digit limit
-                raise TableFormatError(
-                    f"{path}: column {name!r} must be an integer, "
-                    f"got {cell.strip()[:32]!r} at line {lineno}"
-                ) from None
-        yield lineno, *values
+        try:
+            a, b = int(cells[0]), int(cells[1])
+        except ValueError:  # also a cell past int()'s digit limit; name the first bad one
+            for name, cell in zip(header, cells):
+                try:
+                    int(cell)
+                except ValueError:
+                    raise TableFormatError(
+                        f"{path}: column {name!r} must be an integer, "
+                        f"got {cell.strip()[:32]!r} at line {lineno}"
+                    ) from None
+        yield lineno, a, b
 
 
 def _write_int_rows(path, header: tuple[str, str], rows) -> None:

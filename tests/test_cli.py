@@ -544,25 +544,63 @@ def test_an_interrupt_while_writing_leaves_no_artifact(tmp_path, monkeypatch, ca
         pytest.fail("KeyboardInterrupt escaped cli.main")
     assert code == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
-    assert os.listdir(out) == []
+    assert not out.exists()  # no artifact, nor the directory the run made
+
+
+def _main_in_a_child(*argv, file_size_limit):
+    """Run main(argv) in a child process whose files cannot grow past the limit.
+
+    Past it, write raises EFBIG (Python ignores SIGXFSZ), as a full disk
+    raises ENOSPC.
+    """
+    script = "import sys; from daylux.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
+    limit = (file_size_limit, file_size_limit)
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, limit),
+    )
 
 
 def test_a_write_that_fails_leaves_no_artifact(tmp_path):
-    # A file size limit in the child alone: past it, write raises EFBIG
-    # (Python ignores SIGXFSZ), as a full disk raises ENOSPC.
     out = tmp_path / "d"
     out.mkdir()
     (out / "notes.txt").write_text("not an artifact\n")
-    script = "import sys; from daylux.cli import main; sys.exit(main())"
-    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
-    child = subprocess.run(
-        [sys.executable, "-c", script, "simulate", "--out-dir", str(out)],
-        capture_output=True, env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (60_000, 60_000)),
-    )
+    child = _main_in_a_child("simulate", "--out-dir", out, file_size_limit=60_000)
     assert child.returncode == 2
     assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
     assert os.listdir(out) == ["notes.txt"]
+    # the directories the run made go too, but not an empty one that was there
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "kept" / "new" / "a" / "b"
+    child = _main_in_a_child("simulate", "--out-dir", out, file_size_limit=60_000)
+    assert child.returncode == 2
+    assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
+    assert sorted(os.listdir(tmp_path)) == ["d", "kept"]
+    assert os.listdir(tmp_path / "kept") == []
+
+
+def test_a_lut_write_that_fails_leaves_no_table(tmp_path):
+    # 1,024 bytes hold 164 whole knots of 256, which would load as a valid table
+    out = tmp_path / "big.csv"
+    out.write_text("u,e\n0,0\n255,255\n")  # an earlier table, replaced or gone
+    argv = ("lut", "generate", "--lut", "synthetic:knots=256", "--out", out)
+    child = _main_in_a_child(*argv, file_size_limit=1024)
+    assert child.returncode == 2
+    assert child.stderr.decode() == f"io error: [Errno {errno.EFBIG}] File too large\n"
+    assert os.listdir(tmp_path) == []
+    assert _main_in_a_child(*argv, file_size_limit=4096).returncode == 0
+    assert len(load_lut_csv(out).knots) == 256
+
+
+def test_a_lut_out_path_that_is_a_directory_exits_2_and_stays(tmp_path, capsys):
+    out = tmp_path / "d"
+    (out / "inner").mkdir(parents=True)
+    assert main(["lut", "generate", "--out", str(out)]) == 2
+    message = f"io error: [Errno {errno.EISDIR}] Is a directory: {str(out)!r}\n"
+    assert capsys.readouterr() == ("", message)
+    assert os.listdir(out) == ["inner"]
 
 
 PANELS = ("command", "error", "illuminance")

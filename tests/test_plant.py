@@ -2,12 +2,16 @@
 
 import codecs
 import hashlib
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from daylux.config import ConfigError, load_config_file
+from daylux import plant
+from daylux.config import ConfigError, SimConfig, load_config_file
+from daylux.loop import run_simulation
 from daylux.plant import (
     DaylightTrajectory,
     ProcessLut,
@@ -22,7 +26,7 @@ from daylux.plant import (
     synth_default_lut,
 )
 from daylux.rng import SplitMix64
-from daylux.signals import round_half_away
+from daylux.signals import check_d8bv, round_half_away
 
 
 def test_default_lut_shape():
@@ -85,8 +89,14 @@ def test_process_lut_validation():
         ProcessLut(((5, 0), (5, 10)))  # u not strictly increasing
     with pytest.raises(ValueError):
         ProcessLut(((0, 10), (10, 5)))  # e decreasing
-    with pytest.raises(ValueError):
-        ProcessLut(((0, 0), (300, 10)))
+    for knots, message in [
+        (((0, 0), (300, 10)), "LUT knot u must be in [0, 255], got 300"),
+        (((0, -1), (255, 255)), "LUT knot e must be in [0, 255], got -1"),
+        (((0, 0), (255, True)), "LUT knot e must be an int, got bool"),
+        (((0.0, 0), (255, 255)), "LUT knot u must be an int, got float"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProcessLut(knots)
 
 
 def test_synth_lut_validation():
@@ -126,6 +136,38 @@ def test_synth_lut_takes_an_int_shape_as_a_float():
     assert synth_default_lut(gamma_shape=2).knots == synth_default_lut(gamma_shape=2.0).knots
 
 
+def test_synth_lut_builds_each_argument_set_once():
+    lut = synth_default_lut()
+    assert synth_default_lut(180, 1.3, 32) is lut
+    assert synth_default_lut(e_max=181) is not lut
+    assert synth_default_lut(e_max=181) is synth_default_lut(e_max=181)
+    knots, table = lut.knots, lut.table
+    records, _ = run_simulation(SimConfig(steps=300))  # the run uses this very table
+    assert len(records) == 300
+    assert synth_default_lut() is lut and lut.knots == knots and lut.table == table
+    # a bad argument raises its own message, not an unhashable-key error, also once cached
+    for kwargs, message in [
+        ({"e_max": [180]}, "e_max must be an int, got list"),
+        ({"e_max": True}, "e_max must be an int, got bool"),
+        ({"e_max": 150.7}, "e_max must be an int, got float"),
+        ({"gamma_shape": math.nan}, "shape must be finite and > 0, got nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_default_lut(**kwargs)
+        assert synth_default_lut() is lut
+
+
+def test_a_valid_table_costs_no_check_d8bv_call_cached_or_not(monkeypatch):
+    # so a traced run counts the same check_d8bv calls whether its table was cached
+    calls = []
+    monkeypatch.setattr(plant, "check_d8bv", lambda *a: calls.append(a) or check_d8bv(*a))
+    plant._synth_lut.cache_clear()
+    for _ in range(2):
+        synth_default_lut(e_max=200, knot_count=64)
+    ProcessLut(((0, 0), (255, 255)))
+    assert calls == []
+
+
 def test_gen_constant():
     traj = gen_daylight("constant", 4, level=30)
     assert traj.samples == (30, 30, 30, 30)
@@ -140,6 +182,18 @@ def test_gen_ramp():
     traj = gen_daylight("ramp", 5, level0=0, level1=100)
     assert traj.samples == (0, 25, 50, 75, 100)
     assert gen_daylight("ramp", 1, level0=7, level1=200).samples == (7,)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 600])
+def test_step_and_ramp_give_their_per_sample_expressions(length):
+    # rising, falling and flat, with a tie at length 3 from 0 to 1
+    for c0, c1 in itertools.product((0, 1, 37, 255), repeat=2):
+        for k_switch in (0, 1, length - 1, length, length + 5):
+            samples = gen_daylight("step", length, level0=c0, level1=c1, k_switch=k_switch).samples
+            assert samples == tuple(c0 if k < k_switch else c1 for k in range(length))
+        span = max(length - 1, 1)
+        samples = gen_daylight("ramp", length, level0=c0, level1=c1).samples
+        assert samples == tuple(round_half_away(c0 + (c1 - c0) * k / span) for k in range(length))
 
 
 def test_gen_fast_frozen_prefix():
@@ -443,7 +497,8 @@ def test_line_numbers_count_every_line_ending_alike(tmp_path, name, ending):
     (load_lut_csv, 'u,e\n"0",0\n255,180\n', "column 'u' must be an integer, got '\"0\"' at line 2"),
     (load_daylight_csv, 'k,e\n0,"30"\n', "column 'e' must be an integer, got '\"30\"' at line 2"),
     (load_daylight_csv, 'k,e\n0,30\n1,"31\n"\n', "column 'e' must be an integer, got '\"31' at line 3"),
-], ids=["lut", "daylight", "daylight-spanning-lines"])
+    (load_lut_csv, 'u,e\n0,0\n"9","x"\n', "column 'u' must be an integer, got '\"9\"' at line 3"),
+], ids=["lut", "daylight", "daylight-spanning-lines", "lut-two-bad-cells"])
 def test_a_quoted_cell_is_rejected_naming_column_and_line(tmp_path, loader, text, message):
     p = tmp_path / "t.csv"
     p.write_text(text)
