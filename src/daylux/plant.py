@@ -163,12 +163,11 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
         k_switch = check_type(params.get("k_switch", length // 2), "k_switch", "int")
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
-        n0 = min(k_switch, length)
-        return DaylightTrajectory((c0,) * n0 + (c1,) * (length - n0))
+        samples = tuple(c0 if k < k_switch else c1 for k in range(length))
+        return DaylightTrajectory(samples)
     span = max(length - 1, 1)  # one sample is c0
-    rise = c1 - c0
-    # round_half_away, as every level lies between c0 >= 0 and c1 >= 0
-    return DaylightTrajectory([math.floor(c0 + rise * k / span + 0.5) for k in range(length)])
+    samples = tuple(round_half_away(c0 + (c1 - c0) * k / span) for k in range(length))
+    return DaylightTrajectory(samples)
 
 
 def _gen_fast_changes(
@@ -302,18 +301,16 @@ def _read_int_rows(path, header: tuple[str, str]):
         cells = line.split(",")
         if len(cells) != 2:
             raise TableFormatError(f"{path}: expected 2 cells at line {lineno}")
-        try:
-            a, b = int(cells[0]), int(cells[1])
-        except ValueError:  # also a cell past int()'s digit limit; name the first bad one
-            for name, cell in zip(header, cells):
-                try:
-                    int(cell)
-                except ValueError:
-                    raise TableFormatError(
-                        f"{path}: column {name!r} must be an integer, "
-                        f"got {cell.strip()[:32]!r} at line {lineno}"
-                    ) from None
-        yield lineno, a, b
+        values = []
+        for name, cell in zip(header, cells):
+            try:
+                values.append(int(cell))
+            except ValueError:  # also a cell past int()'s digit limit
+                raise TableFormatError(
+                    f"{path}: column {name!r} must be an integer, "
+                    f"got {cell.strip()[:32]!r} at line {lineno}"
+                ) from None
+        yield lineno, *values
 
 
 def _write_int_rows(path, header: tuple[str, str], rows) -> None:

@@ -5,8 +5,10 @@ import errno
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -592,6 +594,33 @@ def test_a_lut_write_that_fails_leaves_no_table(tmp_path):
     assert os.listdir(tmp_path) == []
     assert _main_in_a_child(*argv, file_size_limit=4096).returncode == 0
     assert len(load_lut_csv(out).knots) == 256
+
+
+def test_a_lut_out_path_that_is_no_regular_file_is_written_in_place(tmp_path, capsys):
+    assert main(["lut", "generate", "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    table = tmp_path / "t.csv"
+    table.write_text("u,e\n0,0\n255,255\n")
+    link, other = tmp_path / "link.csv", tmp_path / "other.csv"
+    link.symlink_to(table)
+    os.link(table, other)
+    assert main(["lut", "generate", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.path.samefile(table, other)
+    assert len(load_lut_csv(other).knots) == 32
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()))
+    reader.start()
+    assert main(["lut", "generate", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert read == [table.read_text()] and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    capsys.readouterr()
+    # a write that fails through a link leaves the link and no cut table under any name
+    argv = ("lut", "generate", "--lut", "synthetic:knots=256", "--out", link)
+    child = _main_in_a_child(*argv, file_size_limit=1024)
+    assert child.returncode == 2
+    assert link.is_symlink() and table.read_text() == other.read_text() == ""
 
 
 def test_a_lut_out_path_that_is_a_directory_exits_2_and_stays(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import codecs
 import hashlib
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -182,18 +181,6 @@ def test_gen_ramp():
     traj = gen_daylight("ramp", 5, level0=0, level1=100)
     assert traj.samples == (0, 25, 50, 75, 100)
     assert gen_daylight("ramp", 1, level0=7, level1=200).samples == (7,)
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 600])
-def test_step_and_ramp_give_their_per_sample_expressions(length):
-    # rising, falling and flat, with a tie at length 3 from 0 to 1
-    for c0, c1 in itertools.product((0, 1, 37, 255), repeat=2):
-        for k_switch in (0, 1, length - 1, length, length + 5):
-            samples = gen_daylight("step", length, level0=c0, level1=c1, k_switch=k_switch).samples
-            assert samples == tuple(c0 if k < k_switch else c1 for k in range(length))
-        span = max(length - 1, 1)
-        samples = gen_daylight("ramp", length, level0=c0, level1=c1).samples
-        assert samples == tuple(round_half_away(c0 + (c1 - c0) * k / span) for k in range(length))
 
 
 def test_gen_fast_frozen_prefix():
