@@ -20,7 +20,7 @@ import sys
 from .config import ALLOWED, FIELDS, SimConfig, apply_settings, build_lut, convert, load_config_file
 from .loop import run_simulation
 from .plant import lut_eval, lut_inverse, save_lut_csv
-from .report import ARTIFACT_NAMES, write_run_artifacts
+from .report import ARTIFACT_NAMES, remove_artifacts, write_run_artifacts
 from .signals import check_d8bv
 
 
@@ -95,42 +95,13 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
     return cfg
 
 
-def _remove_artifacts(paths: list[str]) -> None:
-    """Remove the file or link (never its target) at each path; a directory raises."""
-    for path in paths:
-        if os.path.lexists(path):
-            os.remove(path)
-
-
-def _missing_dirs(path) -> list[str]:
-    """The directories of path that do not exist yet, innermost first."""
-    missing = []
-    path = os.path.normpath(path)  # no trailing separator or "..": one name per directory
-    while path and not os.path.lexists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
 def cmd_simulate(cfg: SimConfig) -> int:
     paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
     # A run that fails leaves no artifacts, so none of an earlier run's may
-    # stay: a directory at an artifact name stops the run before it starts,
-    # and a write that fails, or is interrupted, takes the set it began and
-    # the directories it made.
-    _remove_artifacts(paths)
-    made = _missing_dirs(cfg.out_dir)
+    # stay; a directory at an artifact name stops the run before it starts.
+    remove_artifacts(paths)
     records, _nets = run_simulation(cfg)
-    try:
-        report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
-    except BaseException:
-        _remove_artifacts(paths)
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:  # not made after all, or no longer empty
-                pass
-        raise
+    report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
     print(f"wrote {paths[0]} ({report.n_steps} rows)")
     for path in paths[1:]:
         print(f"wrote {path}")

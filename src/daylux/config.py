@@ -114,10 +114,7 @@ class SimConfig:
             raise ConfigError(f"out_dir must not contain a NUL character, got {out_dir!r}")
         # The run makes out_dir and any missing parents: what exists must be a
         # directory, and each name still to be made must fit its file system.
-        path, missing = out_dir, []
-        while path and not (mode := file_mode("out_dir", path)):
-            missing.append(os.path.basename(path))
-            path = os.path.dirname(path)
+        path, mode, missing = nearest_existing(out_dir)
         if path and not stat.S_ISDIR(mode):
             raise ConfigError(f"out_dir is not a directory: {path}")
         if any(len(os.fsencode(n)) > os.pathconf(path or ".", "PC_NAME_MAX") for n in missing):
@@ -190,6 +187,15 @@ def file_mode(key: str, path) -> int:
         return 0
     except OSError as exc:
         raise ConfigError(f"{key}: {exc.strerror}: {path!r}") from None
+
+
+def nearest_existing(out_dir):
+    """Walk out_dir up to its first existing path ("" if none): (path, st_mode, names below it)."""
+    path, mode, missing = out_dir, 0, []
+    while path and not (mode := file_mode("out_dir", path)):
+        missing.append(os.path.basename(path))
+        path = os.path.dirname(path)
+    return path, mode, missing
 
 
 def build_lut(cfg: SimConfig) -> plant.ProcessLut:

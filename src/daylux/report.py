@@ -8,8 +8,10 @@ repeated run reproduces each artifact byte for byte.
 from __future__ import annotations
 
 import os
+import tempfile
 from operator import attrgetter
 
+from .config import nearest_existing
 from .loop import StepRecord
 from .metrics import NARROW_BAND, PERCEPTION_BAND, WIDE_BAND, band_report
 from .svgplot import polyline_chart
@@ -113,14 +115,34 @@ def summary_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def remove_artifacts(paths) -> None:
+    """Remove the file or link (never its target) at each path; a directory raises."""
+    for path in paths:
+        if os.path.lexists(path):
+            os.remove(path)
+
+
 def write_run_artifacts(records, warmup_steps: int, out_dir):
-    """Write every artifact of a run (ARTIFACT_NAMES) into out_dir; returns report and summary."""
+    """Write every artifact of a run (ARTIFACT_NAMES) to out_dir; returns report and summary.
+
+    Only a whole set makes out_dir and is renamed into place from a staging
+    directory, so not even a killed process leaves a cut file at an artifact name.
+    """
     report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
-    os.makedirs(out_dir, exist_ok=True)
-    write_trajectory_csv(records, os.path.join(out_dir, "trajectory.csv"))
-    write_panel_csvs(records, out_dir)
-    write_panel_svgs(records, out_dir)
-    text = summary_text(report)
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    staging_parent = nearest_existing(out_dir)[0] or os.curdir  # renames stay on one file system
+    with tempfile.TemporaryDirectory(prefix=".daylux-", dir=staging_parent) as staging:
+        write_trajectory_csv(records, os.path.join(staging, "trajectory.csv"))
+        write_panel_csvs(records, staging)
+        write_panel_svgs(records, staging)
+        text = summary_text(report)
+        with open(os.path.join(staging, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.makedirs(out_dir, exist_ok=True)
+        try:
+            for name in ARTIFACT_NAMES:
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        except BaseException:  # a name whose staged file is gone was renamed: take it back
+            remove_artifacts([os.path.join(out_dir, name) for name in ARTIFACT_NAMES
+                              if not os.path.lexists(os.path.join(staging, name))])
+            raise
     return report, text

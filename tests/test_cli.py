@@ -5,6 +5,7 @@ import errno
 import os
 import re
 import resource
+import shutil
 import stat
 import subprocess
 import sys
@@ -32,14 +33,18 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     code, out = run_simulate(tmp_path)
     assert code == 0
     stdout = capsys.readouterr().out
-    assert f"wrote {out}/trajectory.csv (40 rows)" in stdout
-    assert "steps: 40 total" in stdout
-    assert stdout.encode().endswith((out / "summary.txt").read_bytes())
-    for name in (
-        "trajectory.csv", "summary.txt",
+    names = (
+        "trajectory.csv",
         "panel_illuminance.csv", "panel_error.csv", "panel_command.csv",
         "panel_illuminance.svg", "panel_error.svg", "panel_command.svg",
-    ):
+        "summary.txt",
+    )
+    wrote = [f"wrote {out}/{name}" for name in names]
+    wrote[0] += " (40 rows)"
+    assert stdout.splitlines()[:8] == wrote  # one line per artifact, in order
+    assert "steps: 40 total" in stdout
+    assert stdout.encode().endswith((out / "summary.txt").read_bytes())
+    for name in names:
         assert (out / name).is_file()
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == TRAJECTORY_HEADER
@@ -573,14 +578,129 @@ def test_a_write_that_fails_leaves_no_artifact(tmp_path):
     assert child.returncode == 2
     assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
     assert os.listdir(out) == ["notes.txt"]
-    # the directories the run made go too, but not an empty one that was there
+    # no directory of out_dir is made, and an empty one that was there stays;
+    # n1 is a directory of n1/../n2 too
     (tmp_path / "kept").mkdir()
-    out = tmp_path / "kept" / "new" / "a" / "b"
-    child = _main_in_a_child("simulate", "--out-dir", out, file_size_limit=60_000)
-    assert child.returncode == 2
-    assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
-    assert sorted(os.listdir(tmp_path)) == ["d", "kept"]
-    assert os.listdir(tmp_path / "kept") == []
+    for out in (tmp_path / "kept" / "new" / "a" / "b", tmp_path / "kept" / "n1" / ".." / "n2"):
+        child = _main_in_a_child("simulate", "--out-dir", out, file_size_limit=60_000)
+        assert child.returncode == 2
+        assert child.stderr.decode().startswith(f"io error: [Errno {errno.EFBIG}] ")
+        assert sorted(os.listdir(tmp_path)) == ["d", "kept"]
+        assert os.listdir(tmp_path / "kept") == []
+
+
+def _failing_writes(monkeypatch, n, exc):
+    """Make the n-th open, write or rename of an artifact write raise exc.
+
+    The writers look open up in their module's globals, so open is replaced
+    in report and svgplot.  Returns the list of calls made, one entry each.
+    """
+    calls = []
+
+    def tick(name):
+        calls.append(name)
+        if len(calls) == n:
+            raise exc
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            tick("write")
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+    def failing_open(*args, **kwargs):
+        tick("open")
+        return File(open(*args, **kwargs))
+
+    def failing_replace(src, dst, replace=os.replace):
+        tick("rename")
+        replace(src, dst)
+
+    for module in (daylux.report, daylux.svgplot):
+        monkeypatch.setattr(module, "open", failing_open, raising=False)
+    monkeypatch.setattr(daylux.report.os, "replace", failing_replace)
+    return calls
+
+
+def test_a_write_that_fails_at_any_call_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "new" / "d"
+    argv = ["simulate", "--steps", "30", "--daylight", "constant:30", "--out-dir", str(out)]
+    ran = cli_mod.run_simulation(parse_config(build_parser().parse_args(argv)))
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: ran)  # the writes are under test
+    with monkeypatch.context() as patch:
+        calls = _failing_writes(patch, 0, None)
+        assert main(argv) == 0
+    assert calls.count("rename") == len(ARTIFACT_NAMES) and calls[-1] == "rename"
+    shutil.rmtree(tmp_path / "new")
+    for exc, code in ((OSError(errno.ENOSPC, "No space left on device"), 2),
+                      (KeyboardInterrupt(), 130)):
+        for n, call in enumerate(calls, 1):
+            with monkeypatch.context() as patch:
+                _failing_writes(patch, n, exc)
+                assert main(argv) == code, (n, call)
+            # no artifact and no staging directory; out_dir is made only for
+            # a complete set, which a failed rename leaves empty
+            if call == "rename":
+                assert os.listdir(out) == [], (n, exc)
+                shutil.rmtree(tmp_path / "new")
+            assert os.listdir(tmp_path) == [], (n, exc)
+    capsys.readouterr()
+
+
+_CRASH_AT_WRITE = """
+import os, sys
+import daylux.report, daylux.svgplot
+from daylux.cli import main
+
+name, nth = sys.argv[1], int(sys.argv[2])
+
+class File:
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == nth and os.path.basename(self.fh.name) == name:
+            self.fh.flush()
+            os._exit(137)  # as a SIGKILL would: no clean-up runs
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+daylux.report.open = daylux.svgplot.open = lambda *args, **kwargs: File(open(*args, **kwargs))
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("name, nth", [
+    ("trajectory.csv", 20), ("panel_command.svg", 3), ("summary.txt", 1),
+])
+def test_a_process_killed_while_writing_leaves_no_cut_artifact(tmp_path, capsys, name, nth):
+    out = tmp_path / "d"
+    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 0  # an earlier set
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", _CRASH_AT_WRITE, name, str(nth),
+         "simulate", "--steps", "30", "--out-dir", str(out)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert child.returncode == 137, child.stderr.decode()
+    # the cut file stays in the staging directory, at no artifact name
+    (staging,) = os.listdir(out)
+    assert staging.startswith(".daylux-") and name in os.listdir(out / staging)
 
 
 def test_a_lut_write_that_fails_leaves_no_table(tmp_path):

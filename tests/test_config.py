@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from daylux.cli import main
 from daylux.config import (
     KEYWORD_KINDS,
     ConfigError,
@@ -16,6 +17,7 @@ from daylux.config import (
     parse_source,
 )
 from daylux.plant import DAYLIGHT_PARAMS
+from daylux.report import ARTIFACT_NAMES
 
 
 def test_default_config_is_valid():
@@ -102,10 +104,16 @@ def test_validate_accepts_both_ends_of_the_seed_range():
     assert str(err.value) == "seed_daylight must be in [0, 18446744073709551615], got -1"
 
 
-def test_validate_accepts_int_gammas_and_path_out_dirs(tmp_path):
+def test_validate_accepts_int_gammas_and_path_out_dirs(tmp_path, capsys):
     SimConfig(gamma_controller=1, gamma_inverse=0.5, out_dir=tmp_path / "run").validate()
-    for out_dir in (tmp_path / "a" / "b", f"{tmp_path}/a/b/", "a/b"):  # made by the run
+    longest = tmp_path / "m" / ("a" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+    for out_dir in (tmp_path / "a" / "b", f"{tmp_path}/a/b/", "a/b", longest):  # made by the run
         SimConfig(out_dir=out_dir).validate()
+    # a name of exactly the limit runs and writes the whole set
+    argv = ["simulate", "--steps", "5", "--daylight", "constant:30", "--out-dir", str(longest)]
+    assert main(argv) == 0
+    assert sorted(os.listdir(longest)) == sorted(ARTIFACT_NAMES)
+    capsys.readouterr()
 
 
 def test_validate_checks_csv_paths_exist(tmp_path):

@@ -291,6 +291,9 @@ def test_records_share_one_int_per_error_value():
         for r in recs:
             assert r.eps is shared.setdefault(r.eps, r.eps)
         assert min(shared) < -5  # below CPython's own small-int cache
+    # the lowest error a run can reach: setpoint 0 under full daylight
+    recs, _ = run_simulation(SimConfig(steps=30, e_desired=0, daylight_source="constant:255"))
+    assert {r.eps for r in recs} == {-255}
 
 
 @pytest.mark.parametrize("plant_delay", [0, 1])

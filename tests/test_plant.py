@@ -180,6 +180,7 @@ def test_gen_step():
 def test_gen_ramp():
     traj = gen_daylight("ramp", 5, level0=0, level1=100)
     assert traj.samples == (0, 25, 50, 75, 100)
+    assert gen_daylight("ramp", 2, level0=0, level1=100).samples == (0, 100)
     assert gen_daylight("ramp", 1, level0=7, level1=200).samples == (7,)
 
 
