@@ -186,8 +186,8 @@ def run_command(parser: _Parser, args: list[str]) -> int:
     """Parse args and run the command they name; returns its exit code."""
     try:
         ns = parser.parse_args(args)
-    except SystemExit as exc:  # argparse --help
-        return 0 if exc.code is None else int(exc.code)
+    except SystemExit as exc:  # argparse --help; _Parser.error raises ValueError instead
+        return exc.code
     if ns.command == "simulate":
         return cmd_simulate(parse_config(ns))
     return cmd_lut(ns)  # argparse allows only simulate and lut

@@ -131,9 +131,7 @@ class StepRecord:
         return f"StepRecord({fields})"
 
 
-def controller_action(
-    ctl: TinyNet, eps: int, deps: int, error_scaling: str = "independent"
-) -> int:
+def controller_action(ctl: TinyNet, eps: int, deps: int, error_scaling: str) -> int:
     """Command U for the current error pair; always a valid 8-bit value."""
     x = [scale_error(eps), scale_delta_error(deps, error_scaling)]
     y, _ = forward(ctl, x)
@@ -175,11 +173,7 @@ def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
 
 
 def train_controller(
-    ctl: TinyNet,
-    eps_prev: int,
-    deps_prev: int,
-    u_im: int,
-    error_scaling: str = "independent",
+    ctl: TinyNet, eps_prev: int, deps_prev: int, u_im: int, error_scaling: str
 ) -> float:
     """One online update toward (eps, deps) -> U_IM; returns pre-update loss."""
     x = [scale_error(eps_prev), scale_delta_error(deps_prev, error_scaling)]
@@ -213,20 +207,17 @@ def loop_step(
     e_desired = check_d8bv(cfg.e_desired, "e_desired")
     check_d8bv(e_daylight_k, "e_daylight_k")
 
-    if cfg.plant_delay == 1:
-        e_electric = lut_eval(lut, state.u_prev)
-        e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = _ERROR_INTS[e_desired - e_measured]
-        deps = eps - state.eps_prev
-        u = controller_action(ctl, eps, deps, cfg.error_scaling)
-    else:
+    delayed = cfg.plant_delay == 1
+    if not delayed:
         # Zero-delay reading: the controller acts on the freshest error it
         # has (last step's) and the plant answers within the same step.
         u = controller_action(ctl, state.eps_prev, state.deps_prev, cfg.error_scaling)
-        e_electric = lut_eval(lut, u)
-        e_measured = clamp8_sum(e_electric, e_daylight_k)
-        eps = _ERROR_INTS[e_desired - e_measured]
-        deps = eps - state.eps_prev
+    e_electric = lut_eval(lut, state.u_prev if delayed else u)
+    e_measured = clamp8_sum(e_electric, e_daylight_k)
+    eps = _ERROR_INTS[e_desired - e_measured]
+    deps = eps - state.eps_prev
+    if delayed:
+        u = controller_action(ctl, eps, deps, cfg.error_scaling)
 
     hist = state.e_measured_hist  # shifted in place, newest first
     if hist:

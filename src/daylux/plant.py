@@ -249,10 +249,11 @@ def load_daylight_csv(path) -> DaylightTrajectory:
             raise TableFormatError(
                 f"{path}: k must be consecutive from 0, expected {len(samples)} at line {lineno}"
             )
-        if not 0 <= e <= D8BV_MAX:
-            raise TableFormatError(f"{path}: e out of [0, 255] at line {lineno}")
         samples.append(e)
-    return DaylightTrajectory(samples)
+    try:  # k counts from 0, so the trajectory's message names the row by its k
+        return DaylightTrajectory(samples)
+    except ValueError as exc:
+        raise TableFormatError(f"{path}: {exc}") from exc
 
 
 def save_daylight_csv(traj: DaylightTrajectory, path) -> None:

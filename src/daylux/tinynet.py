@@ -84,13 +84,11 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
 
     The hidden sums are unrolled for the two input widths and the tanh is
     inlined; both are the exact expressions the conventions above describe,
-    so the result is bit-identical to the generic row loop.
+    so the result is bit-identical to the generic row loop.  Inputs of the
+    wrong count raise the ValueError of their unpacking.
     """
     r0, r1, r2 = net.w1
-    n = len(r0) - 1
-    if len(inputs) != n:
-        raise ValueError(f"expected {n} inputs, got {len(inputs)}")
-    if n == 2:
+    if len(r0) == 3:  # two weights and a bias
         x0, x1 = inputs
         s0 = r0[2] + r0[0] * x0 + r0[1] * x1
         s1 = r1[2] + r1[0] * x0 + r1[1] * x1
@@ -155,10 +153,9 @@ def train_step(net: TinyNet, inputs, target: float) -> float:
     fused and unrolled: the hidden deltas are taken from the pre-update output
     row before any parameter changes, and the rows are then updated in place.
     """
-    t = float(target)
     y, (h0, h1, h2) = forward(net, inputs)
-    d = y - t
-    loss = 0.5 * (t - y) ** 2
+    d = y - target
+    loss = 0.5 * (target - y) ** 2
     lr = net.learning_rate
     w2 = net.w2
     r0, r1, r2 = net.w1

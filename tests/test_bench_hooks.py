@@ -13,10 +13,12 @@ import runpy
 from pathlib import Path
 
 import daylux
+import daylux.loop as loop_mod
+from daylux.cli import main
 from daylux.config import SimConfig
 from daylux.loop import StepRecord, run_simulation
 from daylux.metrics import band_report
-from daylux.report import TRAJECTORY_HEADER, summary_text
+from daylux.report import TRAJECTORY_HEADER, summary_text, write_run_artifacts
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = runpy.run_path(str(BENCH / "tracing.py"))
@@ -93,6 +95,36 @@ def test_traced_calls_per_step_match_the_benchmark_pins():
         assert [c["loop.loop_step"] for c in calls] == [50, 150], wiring
         per_step = {name: (calls[1][name] - calls[0][name]) / 100 for name in pins}
         assert per_step == pins, wiring
+
+
+def test_validate_calls_per_run_match_the_benchmark_pins(tmp_path):
+    # one operation shaped like each workload's: a CLI simulate validates in
+    # parse_config and again in run_simulation; an in-process run only there.
+    # run_simulation is looked up on its module, where the tracer wraps it.
+    def cli_default():
+        assert main(["simulate", "--steps", "20", "--out-dir", str(tmp_path / "cli")]) == 0
+
+    def sweep():
+        records, _ = loop_mod.run_simulation(SimConfig(steps=20))
+        write_run_artifacts(records, 5, tmp_path / "sweep")
+
+    operations = {
+        "cli_default": cli_default,
+        "sim_long": lambda: loop_mod.run_simulation(SimConfig(steps=20)),
+        "sweep": sweep,
+    }
+    pins = _bench_pin("EXPECTED_VALIDATE_PER_RUN")
+    assert pins.keys() == operations.keys()
+    for workload, operation in operations.items():
+        tracer = TRACING["Tracer"]()
+        tracer.install(TRACING["daylux_modules"]())
+        try:
+            operation()
+        finally:
+            tracer.uninstall()
+        calls = {name: row["calls"] for name, row in tracer.totals().items()}
+        assert calls["loop.run_simulation"] == 1, workload
+        assert calls["config.validate"] == pins[workload], workload
 
 
 def test_the_benchmark_names_the_same_columns_and_record_fields():

@@ -147,7 +147,9 @@ def test_a_config_path_that_names_no_file_exits_1_naming_it(tmp_path, capsys, na
 
 def test_help_exits_0(capsys):
     with_code = main(["--help"])
-    assert "{simulate,lut}" in capsys.readouterr().out  # the only two commands
+    out = capsys.readouterr().out
+    assert "{simulate,lut}" in out  # the only two commands
+    assert "\n\nCommand-line front end.\n\n" in out  # the description line
     assert with_code == 0
 
 
@@ -161,7 +163,12 @@ def test_gradcheck_is_not_a_command(capsys):
 
 def test_lut_generate_then_inspect(tmp_path, capsys):
     out = tmp_path / "tbl.csv"
-    assert main(["lut", "generate", "--out", str(out), "--lut", "synthetic:knots=16"]) == 0
+    umask = os.umask(0o022)
+    try:
+        assert main(["lut", "generate", "--out", str(out), "--lut", "synthetic:knots=16"]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o644  # created 0o666, less the umask
     assert f"wrote {out} (16 knots)" in capsys.readouterr().out
     assert len(load_lut_csv(out).knots) == 16
 
@@ -349,8 +356,12 @@ def test_every_command_reports_a_bad_lut_spec_alike(tmp_path, monkeypatch, capsy
     ("--daylight", "step:0,100,-3", "daylight: step: k_switch must be >= 0, got -3"),
     ("--daylight", "ramp:0,999", "daylight: ramp: level1 must be in [0, 255], got 999"),
     ("--lut", "synthetic:e_max=50", "lut: synthetic: e_max must be in [120, 255], got 50"),
+    ("--daylight", "csv:{day}", "{day}: daylight sample at k=1 must be in [0, 255], got 256"),
 ])
 def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, message):
+    day = tmp_path / "day.csv"
+    day.write_text("# a comment shifts the lines, not k\nk,e\n0,30\n1,256\n")
+    spec, message = spec.format(day=day), message.format(day=day)
     out = tmp_path / "o"
     assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -2,6 +2,7 @@
 
 import codecs
 import os
+import sys
 
 import pytest
 
@@ -78,6 +79,11 @@ def test_validate_rejects_out_of_contract_fields():
             cfg.validate()
         named = str(err.value).split()[0].rstrip(":")
         assert named in (field, field.removesuffix("_source")), (field, value, str(err.value))
+    # the value at each inclusive bound passes
+    for field, value in (("steps", sys.maxsize), ("e_desired", 255), ("warmup", 0)):
+        cfg = SimConfig()
+        setattr(cfg, field, value)
+        cfg.validate()
 
 
 def test_validate_type_errors_name_the_key_and_both_types():

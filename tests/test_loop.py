@@ -178,15 +178,10 @@ def test_zero_plant_delay_reacts_within_the_step():
         assert r.e_electric == lut_eval(lut, r.u)
 
 
-def test_controller_action_rejects_unknown_scaling():
-    with pytest.raises(ValueError):
-        controller_action(init_network(CONTROLLER_INPUTS), 0, 0, "percent")
-
-
 def test_controller_action_is_quantised():
     ctl = init_network(CONTROLLER_INPUTS, seed=1)
     for eps in (-255, -100, 0, 100, 255):
-        assert 0 <= controller_action(ctl, eps, 0) <= 255
+        assert 0 <= controller_action(ctl, eps, 0, "independent") <= 255
 
 
 def test_inverse_action_is_quantised():

@@ -165,8 +165,20 @@ def test_kv_block_format():
         "valid=1",
         "extreme_shell_frac=0",
     ]
-    nothing_steady = summary_text(band_report(recs, 20)).split("\n\n")[1]
-    assert nothing_steady.splitlines()[-3:] == ["rms_eps=0", "valid=0", "extreme_shell_frac=0"]
+    for warmup, n_steady, valid in ((20, 0, 0), (9, 1, 1)):  # nothing steady, then one step
+        block = summary_text(band_report(recs, warmup)).split("\n\n")[1]
+        assert block.splitlines() == [
+            f"warmup_steps={warmup}",
+            f"n_steady={n_steady}",
+            "eps_min=0",
+            "eps_max=0",
+            f"frac_in_wide={valid}",
+            f"frac_in_narrow={valid}",
+            f"frac_meas_in_perception={valid}",
+            "rms_eps=0",
+            f"valid={valid}",
+            "extreme_shell_frac=0",
+        ]
 
 
 REPORT_FIELDS = [

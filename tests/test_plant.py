@@ -111,6 +111,9 @@ def test_synth_lut_validation():
         with pytest.raises(ValueError, match=rf"^knots must be in \[8, 256\], got {count}$"):
             synth_default_lut(knot_count=count)
     assert len(synth_default_lut(knot_count=8).knots) == 8
+    assert synth_default_lut(e_max=255).knots[-1] == (255, 255)
+    with pytest.raises(ValueError, match=r"^e_max must be in \[120, 255\], got 256$"):
+        synth_default_lut(e_max=256)  # not ProcessLut's message for a knot past 255
     assert [u for u, _ in synth_default_lut(knot_count=256).knots] == list(range(256))
     with pytest.raises(ValueError, match=r"knots must be in \[8, 256\], got 10000000000"):
         synth_default_lut(knot_count=10**10)  # rejected before any knot is built
@@ -175,6 +178,7 @@ def test_gen_constant():
 def test_gen_step():
     traj = gen_daylight("step", 4, level0=0, level1=100, k_switch=2)
     assert traj.samples == (0, 0, 100, 100)
+    assert gen_daylight("step", 3, level0=0, level1=100, k_switch=0).samples == (100, 100, 100)
 
 
 def test_gen_ramp():
@@ -379,6 +383,11 @@ def test_lut_csv_errors_name_the_line(tmp_path):
     with pytest.raises(TableFormatError) as err:
         load_lut_csv(path)
     assert str(err.value) == f"{path}: decreasing e (80 after 90) at line 4"
+
+    path.write_text("u,e\n0,0\n100,90\n100,95\n255,180\n")  # a repeated command
+    with pytest.raises(TableFormatError) as err:
+        load_lut_csv(path)
+    assert str(err.value) == f"{path}: non-increasing u at line 4"
 
     path.write_text("u,volts\n0,0\n")
     with pytest.raises(TableFormatError) as err:
