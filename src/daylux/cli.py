@@ -158,7 +158,12 @@ def main(argv=None) -> int:
     if not args or args[0].startswith("-") and args[0] not in ("-h", "--help"):
         args.insert(0, "simulate")
     try:
-        code = run_command(build_parser(), args)
+        try:
+            ns = build_parser().parse_args(args)
+        except SystemExit as exc:  # argparse --help; _Parser.error raises ValueError instead
+            code = exc.code
+        else:  # argparse allows only simulate and lut
+            code = cmd_simulate(parse_config(ns)) if ns.command == "simulate" else cmd_lut(ns)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -180,17 +185,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt as exc:  # 128 + SIGINT, as a shell reports it
         print(f"error: interrupted {exc}".rstrip(), file=sys.stderr)  # run_loop names the step
         return 130
-
-
-def run_command(parser: _Parser, args: list[str]) -> int:
-    """Parse args and run the command they name; returns its exit code."""
-    try:
-        ns = parser.parse_args(args)
-    except SystemExit as exc:  # argparse --help; _Parser.error raises ValueError instead
-        return exc.code
-    if ns.command == "simulate":
-        return cmd_simulate(parse_config(ns))
-    return cmd_lut(ns)  # argparse allows only simulate and lut
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ class SimConfig:
         return f"SimConfig({settings})"
 
     def validate(self) -> None:
-        """Raise ConfigError on any out-of-contract field."""
+        """Raise ConfigError on any out-of-contract field or source-spec value, CSV rows aside."""
         for key, type_name in _FIELD_TYPES.items():
             value = getattr(self, key)
             if key == "out_dir" and isinstance(value, os.PathLike):
@@ -119,8 +119,10 @@ class SimConfig:
             raise ConfigError(f"out_dir is not a directory: {path}")
         if any(len(os.fsencode(n)) > os.pathconf(path or ".", "PC_NAME_MAX") for n in missing):
             raise ConfigError(f"out_dir: {os.strerror(errno.ENAMETOOLONG)}: {out_dir!r}")
-        checked_source("lut", self.lut_source)
-        checked_source("daylight", self.daylight_source)
+        for key in SOURCES:  # one sample and the cached table check every value
+            kind, params = checked_source(key, getattr(self, f"{key}_source"))
+            if kind != "csv":
+                generated_source(key, kind, params, 1, self.seed_daylight)
 
 
 # The generated kinds of each source spec, with their parameter schemas; every
@@ -202,20 +204,24 @@ def build_lut(cfg: SimConfig) -> plant.ProcessLut:
     kind, params = checked_source("lut", cfg.lut_source)
     if kind == "csv":
         return plant.load_lut_csv(params["path"])
-    try:
-        return plant.synth_default_lut(**{LUT_KEYWORDS[k]: v for k, v in params.items()})
-    except ValueError as exc:
-        raise ConfigError(f"lut: {kind}: {exc}") from exc
+    return generated_source("lut", kind, params, cfg.steps, cfg.seed_daylight)
 
 
 def build_daylight(cfg: SimConfig) -> plant.DaylightTrajectory:
     kind, params = checked_source("daylight", cfg.daylight_source)
     if kind == "csv":
         return plant.load_daylight_csv(params["path"])
+    return generated_source("daylight", kind, params, cfg.steps, cfg.seed_daylight)
+
+
+def generated_source(key: str, kind: str, params: dict, length: int, seed: int):
+    """The table or `length`-sample trajectory a generated spec names, or a ConfigError."""
     try:
-        return plant.gen_daylight(kind, cfg.steps, seed=cfg.seed_daylight, **params)
+        if key == "lut":
+            return plant.synth_default_lut(**{LUT_KEYWORDS[k]: v for k, v in params.items()})
+        return plant.gen_daylight(kind, length, seed, **params)
     except ValueError as exc:
-        raise ConfigError(f"daylight: {kind}: {exc}") from exc
+        raise ConfigError(f"{key}: {kind}: {exc}") from exc
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -136,7 +136,7 @@ class DaylightTrajectory:
             check_d8bv(s, f"daylight sample at k={k}")
 
 
-def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTrajectory:
+def gen_daylight(kind: str, length: int, seed: int, **params) -> DaylightTrajectory:
     """Build a daylight trajectory of `length` samples.
 
     Kinds and their parameters:
@@ -144,6 +144,8 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
       step:     level0, level1, k_switch
       ramp:     level0, level1
       fast:     base, amplitude, step_prob, max_jump  (seeded)
+
+    constant, step and ramp need every parameter; fast has a default for each.
     """
     if check_type(length, "trajectory length", "int") < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
@@ -152,15 +154,18 @@ def gen_daylight(kind: str, length: int, seed: int = 0, **params) -> DaylightTra
     extras = sorted(set(params) - DAYLIGHT_PARAMS[kind].keys())
     if extras:
         raise ValueError(f"unexpected parameter(s) for daylight kind {kind!r}: {', '.join(extras)}")
-    if kind == "constant":
-        level = check_d8bv(params.get("level", 30), "level")
-        return DaylightTrajectory((level,) * length)
     if kind == "fast":
         return _gen_fast_changes(length, seed, **params)
-    c0 = check_d8bv(params.get("level0", 0), "level0")
-    c1 = check_d8bv(params.get("level1", 100), "level1")
+    missing = [name for name in DAYLIGHT_PARAMS[kind] if name not in params]
+    if missing:
+        raise ValueError(f"missing parameter(s) for daylight kind {kind!r}: {', '.join(missing)}")
+    if kind == "constant":
+        level = check_d8bv(params["level"], "level")
+        return DaylightTrajectory((level,) * length)
+    c0 = check_d8bv(params["level0"], "level0")
+    c1 = check_d8bv(params["level1"], "level1")
     if kind == "step":
-        k_switch = check_type(params.get("k_switch", length // 2), "k_switch", "int")
+        k_switch = check_type(params["k_switch"], "k_switch", "int")
         if k_switch < 0:
             raise ValueError(f"k_switch must be >= 0, got {k_switch}")
         samples = tuple(c0 if k < k_switch else c1 for k in range(length))

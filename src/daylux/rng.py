@@ -99,18 +99,6 @@ class SplitMix64:
         """
         return chain.from_iterable(_blocks((self._state * _ONES + _LANE_OFFSETS) & _LANE_MASK))
 
-    def randbelow(self, n: int) -> int:
-        """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow() requires n >= 1")
-        # Reject draws from the incomplete top block so every value in
-        # [0, n) keeps equal probability.
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
-
 
 def _blocks(states: int):
     """Yield, block after block, the random() floats of the lane states `states`."""

@@ -34,7 +34,6 @@ from math import exp, isfinite
 from .rng import SplitMix64
 from .signals import check_type
 
-DEFAULT_LEARNING_RATE = 0.15
 INIT_WEIGHT_SPAN = 0.5
 HIDDEN_WIDTH = 3
 
@@ -51,12 +50,7 @@ class TinyNet:
         self.use_bias = use_bias
 
 
-def init_network(
-    n_inputs: int,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    seed: int = 0,
-    use_bias: bool = True,
-) -> TinyNet:
+def init_network(n_inputs: int, learning_rate: float, seed: int, use_bias: bool) -> TinyNet:
     """Build an n-3-1 net with seeded uniform [-0.5, 0.5] parameters.
 
     With ``use_bias=False`` the bias slots exist but stay 0.0 and consume no

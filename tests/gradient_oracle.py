@@ -65,7 +65,7 @@ def gradcheck_max_rel_error(seed: int, trials: int, h: float = 1e-5) -> float:
     worst = 0.0
     for trial in range(trials):
         n_inputs = (CONTROLLER_INPUTS, INVERSE_INPUTS)[trial % 2]
-        net = init_network(n_inputs, learning_rate=0.15, seed=rng.next_u64())
+        net = init_network(n_inputs, 0.15, rng.next_u64(), True)
         x = [rng.uniform(-1.0, 1.0) for _ in range(n_inputs)]
         t = rng.uniform(-1.0, 1.0)
         _, gw1, gw2 = backprop_gradients(net, x, t)

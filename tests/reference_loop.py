@@ -26,6 +26,20 @@ class ReferenceDivergence(Exception):
         self.k = k
 
 
+def row_loop_forward(net, x):
+    """The generic n-3-1 forward pass of any net with rows ``w1`` and ``w2``; returns (y, h)."""
+    h = []
+    for row in net.w1:
+        s = row[-1]
+        for w, v in zip(row, x):
+            s += w * v
+        h.append(tanh(s))
+    y = net.w2[-1]
+    for w, hj in zip(net.w2, h):
+        y += w * hj
+    return y, h
+
+
 class Net:
     """An n-3-1 net as plain lists: hidden rows ``w1``, output row ``w2``, bias last."""
 
@@ -36,17 +50,7 @@ class Net:
         self.learning_rate = learning_rate
         self.use_bias = use_bias
 
-    def forward(self, x):
-        h = []
-        for row in self.w1:
-            s = row[-1]
-            for w, v in zip(row, x):
-                s += w * v
-            h.append(tanh(s))
-        y = self.w2[-1]
-        for w, hj in zip(self.w2, h):
-            y += w * hj
-        return y, h
+    forward = row_loop_forward
 
     def train(self, x, target: float) -> float:
         """One gradient-descent step on 0.5 * (target - y)**2; returns the loss before it."""

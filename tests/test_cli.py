@@ -366,6 +366,13 @@ def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, messa
     assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+    # validate checks every typed-in value before an earlier set is cleared;
+    # a CSV's rows are read when the run builds its sources, after the clearing
+    assert main(["simulate", "--steps", "5", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(os.listdir(out)) == ([] if spec.startswith("csv:") else ARTIFACTS)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -51,15 +51,15 @@ CONFIG = (
 
 def mutate(rng: SplitMix64, data: bytes) -> bytes:
     buf = bytearray(data)
-    for _ in range(1 + rng.randbelow(MAX_EDITS)):
-        op = rng.randbelow(3)
-        byte = SYNTAX[rng.randbelow(len(SYNTAX))] if rng.randbelow(2) else rng.randbelow(256)
+    for _ in range(1 + rng.next_u64() % MAX_EDITS):
+        op = rng.next_u64() % 3
+        byte = SYNTAX[rng.next_u64() % len(SYNTAX)] if rng.next_u64() % 2 else rng.next_u64() % 256
         if op == 0 or not buf:
-            buf.insert(rng.randbelow(len(buf) + 1), byte)
+            buf.insert(rng.next_u64() % (len(buf) + 1), byte)
         elif op == 1:
-            del buf[rng.randbelow(len(buf))]
+            del buf[rng.next_u64() % len(buf)]
         else:
-            buf[rng.randbelow(len(buf))] = byte
+            buf[rng.next_u64() % len(buf)] = byte
     return bytes(buf)
 
 
@@ -125,7 +125,7 @@ def test_mutated_inputs_raise_only_documented_errors(tmp_path, monkeypatch, targ
     rng = SplitMix64(SEED)
     accepted = rejected = 0
     for case in range(CASES):
-        data = mutate(rng, corpus[rng.randbelow(len(corpus))])
+        data = mutate(rng, corpus[rng.next_u64() % len(corpus)])
         try:
             parse(data)
             accepted += 1

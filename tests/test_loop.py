@@ -40,13 +40,14 @@ def zeroed(net):
 
 
 def zero_pair():
-    return zeroed(init_network(CONTROLLER_INPUTS)), zeroed(init_network(INVERSE_INPUTS))
+    ctl = init_network(CONTROLLER_INPUTS, 0.15, 0, True)
+    return zeroed(ctl), zeroed(init_network(INVERSE_INPUTS, 0.15, 0, True))
 
 
 def test_first_steps_from_blank_nets_frozen():
     ctl, inv = zero_pair()
     lut = synth_default_lut()
-    day = gen_daylight("constant", 2, level=40)
+    day = gen_daylight("constant", 2, seed=0, level=40)
     recs = run_loop(lut, day, ctl, inv, SimConfig())
 
     r0 = recs[0]
@@ -179,13 +180,13 @@ def test_zero_plant_delay_reacts_within_the_step():
 
 
 def test_controller_action_is_quantised():
-    ctl = init_network(CONTROLLER_INPUTS, seed=1)
+    ctl = init_network(CONTROLLER_INPUTS, 0.15, 1, True)
     for eps in (-255, -100, 0, 100, 255):
         assert 0 <= controller_action(ctl, eps, 0, "independent") <= 255
 
 
 def test_inverse_action_is_quantised():
-    inv = init_network(INVERSE_INPUTS, seed=1)
+    inv = init_network(INVERSE_INPUTS, 0.15, 1, True)
     for e in (0, 80, 255):
         assert 0 <= inverse_action(inv, e, e, e) <= 255
 
@@ -205,7 +206,7 @@ def test_run_simulation_is_deterministic():
 def test_run_simulation_returns_trained_nets():
     recs, (ctl, inv) = run_simulation(SimConfig(steps=30))
     assert len(recs) == 30
-    fresh = init_network(INVERSE_INPUTS, seed=SimConfig().seed_inverse)
+    fresh = init_network(INVERSE_INPUTS, 0.15, SimConfig().seed_inverse, True)
     assert inv.w1 != fresh.w1  # training moved the params
 
 
@@ -309,7 +310,7 @@ def test_loop_state_histories_are_newest_first_triples(plant_delay):
 
 
 def test_train_inverse_takes_a_list_or_a_tuple():
-    nets = [init_network(INVERSE_INPUTS, seed=3) for _ in range(2)]
+    nets = [init_network(INVERSE_INPUTS, 0.15, 3, True) for _ in range(2)]
     assert train_inverse(nets[0], [90, 80, 70], 140) == train_inverse(nets[1], (90, 80, 70), 140)
     assert vars(nets[0]) == vars(nets[1])
 
@@ -319,10 +320,12 @@ def test_train_inverse_takes_a_list_or_a_tuple():
 def test_divergence_names_the_step_and_the_net(net_name, bad):
     # nan/inf make the output non-finite at once; 1e300 keeps it finite
     # (the command saturates) until the squared error overflows in training
-    ctl, inv = init_network(CONTROLLER_INPUTS), init_network(INVERSE_INPUTS)
+    ctl = init_network(CONTROLLER_INPUTS, 0.15, 0, True)
+    inv = init_network(INVERSE_INPUTS, 0.15, 0, True)
     (ctl if net_name == "controller" else inv).w2[-1] = bad
+    day = gen_daylight("constant", 5, seed=0, level=30)
     with pytest.raises(DivergenceError) as info:
-        run_loop(synth_default_lut(), gen_daylight("constant", 5), ctl, inv, SimConfig())
+        run_loop(synth_default_lut(), day, ctl, inv, SimConfig())
     # the controller first trains at k=1; the inverse model trains at k=0
     k = 1 if (net_name, bad) == ("controller", 1e300) else 0
     assert (info.value.net, info.value.k) == (net_name, k)
@@ -369,7 +372,7 @@ def test_default_run_integers_survive_a_one_ulp_exp_nudge(monkeypatch, default_r
     def nudged(x):
         y = exact(x)
         if rng.random() < share:
-            y = math.nextafter(y, math.inf if rng.randbelow(2) else -math.inf)
+            y = math.nextafter(y, math.inf if rng.next_u64() % 2 else -math.inf)
         return y
 
     monkeypatch.setattr(tinynet_mod, "exp", nudged)

@@ -171,21 +171,22 @@ def test_a_valid_table_costs_no_check_d8bv_call_cached_or_not(monkeypatch):
 
 
 def test_gen_constant():
-    traj = gen_daylight("constant", 4, level=30)
+    traj = gen_daylight("constant", 4, seed=0, level=30)
     assert traj.samples == (30, 30, 30, 30)
 
 
 def test_gen_step():
-    traj = gen_daylight("step", 4, level0=0, level1=100, k_switch=2)
+    traj = gen_daylight("step", 4, seed=0, level0=0, level1=100, k_switch=2)
     assert traj.samples == (0, 0, 100, 100)
-    assert gen_daylight("step", 3, level0=0, level1=100, k_switch=0).samples == (100, 100, 100)
+    traj = gen_daylight("step", 3, seed=0, level0=0, level1=100, k_switch=0)
+    assert traj.samples == (100, 100, 100)
 
 
 def test_gen_ramp():
-    traj = gen_daylight("ramp", 5, level0=0, level1=100)
+    traj = gen_daylight("ramp", 5, seed=0, level0=0, level1=100)
     assert traj.samples == (0, 25, 50, 75, 100)
-    assert gen_daylight("ramp", 2, level0=0, level1=100).samples == (0, 100)
-    assert gen_daylight("ramp", 1, level0=7, level1=200).samples == (7,)
+    assert gen_daylight("ramp", 2, seed=0, level0=0, level1=100).samples == (0, 100)
+    assert gen_daylight("ramp", 1, seed=0, level0=7, level1=200).samples == (7,)
 
 
 def test_gen_fast_frozen_prefix():
@@ -253,16 +254,16 @@ def fast_walk_cases():
         cases += [(length, 0, 0, 1, 0.3, 1), (length, 7, 255, 255, 0.5, 255)]
     pick = SplitMix64(0x5EED)
     for _ in range(60):
-        seed = (0, 2**64 - 1, pick.next_u64())[pick.randbelow(3)]
-        step_prob = (0, 1, 0.0, 1.0, pick.random(), pick.random() * 0.1)[pick.randbelow(6)]
-        length = (1 + pick.randbelow(3000), 255 + pick.randbelow(3), 511 + pick.randbelow(3))
+        seed = (0, 2**64 - 1, pick.next_u64())[pick.next_u64() % 3]
+        step_prob = (0, 1, 0.0, 1.0, pick.random(), pick.random() * 0.1)[pick.next_u64() % 6]
+        length = (1 + pick.next_u64() % 3000, 255 + pick.next_u64() % 3, 511 + pick.next_u64() % 3)
         cases.append((
-            length[pick.randbelow(3)],
+            length[pick.next_u64() % 3],
             seed,
-            pick.randbelow(256),
-            1 + pick.randbelow(255),
+            pick.next_u64() % 256,
+            1 + pick.next_u64() % 255,
             step_prob,
-            1 + pick.randbelow(255),
+            1 + pick.next_u64() % 255,
         ))
     return cases
 
@@ -298,51 +299,56 @@ def test_long_fast_walk_digest_is_frozen(seed, params, digest):
 
 def test_gen_daylight_validation():
     with pytest.raises(ValueError):
-        gen_daylight("constant", 0, level=30)
+        gen_daylight("constant", 0, seed=0, level=30)
     with pytest.raises(ValueError):
-        gen_daylight("sinus", 10)
+        gen_daylight("sinus", 10, seed=0)
     with pytest.raises(ValueError) as err:
-        gen_daylight("csv", 10)  # only load_daylight_csv builds csv daylight
+        gen_daylight("csv", 10, seed=0)  # only load_daylight_csv builds csv daylight
     assert "'csv'" in str(err.value)
     assert "csv" not in str(err.value).split("expected", 1)[1]
     with pytest.raises(ValueError):
-        gen_daylight("constant", 10, level=300)
+        gen_daylight("constant", 10, seed=0, level=300)
     with pytest.raises(ValueError):
-        gen_daylight("constant", 10, level=30, extra=1)
+        gen_daylight("constant", 10, seed=0, level=30, extra=1)
     with pytest.raises(ValueError):
-        gen_daylight("fast", 10, step_prob=1.5)
+        gen_daylight("fast", 10, seed=0, step_prob=1.5)
     with pytest.raises(ValueError):
-        gen_daylight("fast", 10, amplitude=0)
-    with pytest.raises(ValueError):
-        gen_daylight("step", 10, k_switch=-1)
+        gen_daylight("fast", 10, seed=0, amplitude=0)
+    with pytest.raises(ValueError, match=r"^k_switch must be >= 0, got -1$"):
+        gen_daylight("step", 10, seed=0, level0=0, level1=100, k_switch=-1)
+    # constant, step and ramp have no default values: a missing one is named
+    with pytest.raises(ValueError, match=r"^missing parameter\(s\) .* 'step': k_switch$"):
+        gen_daylight("step", 10, seed=0, level0=0, level1=100)
     with pytest.raises(ValueError, match=r"^unexpected parameter\(s\) .* 'fast': foo$"):
-        gen_daylight("fast", 10, foo=1)  # a ValueError naming it, not a TypeError
+        gen_daylight("fast", 10, seed=0, foo=1)  # a ValueError naming it, not a TypeError
+    valid = {"constant": {"level": 30}, "step": {"level0": 0, "level1": 100, "k_switch": 1},
+             "ramp": {"level0": 0, "level1": 100}, "fast": {}}
     for kind, key in (("constant", "level"), ("step", "level0"), ("step", "k_switch"),
                       ("ramp", "level1"), ("fast", "base"), ("fast", "amplitude"),
                       ("fast", "max_jump")):
         with pytest.raises(ValueError, match=rf"^{key} must be an int, got float$"):
-            gen_daylight(kind, 3, **{key: 30.9})  # rejected, not truncated to 30
+            gen_daylight(kind, 3, seed=0, **{**valid[kind], key: 30.9})  # not truncated to 30
     for key in ("base", "amplitude", "max_jump", "level"):
         kind = "constant" if key == "level" else "fast"
         with pytest.raises(ValueError, match=rf"^{key} must be an int, got bool$"):
-            gen_daylight(kind, 3, **{key: True})
+            gen_daylight(kind, 3, seed=0, **{key: True})
     for value, name in ((True, "bool"), ("0.5", "str")):
         with pytest.raises(ValueError, match=rf"^step_prob must be a float, got {name}$"):
-            gen_daylight("fast", 5, step_prob=value)
+            gen_daylight("fast", 5, seed=0, step_prob=value)
     # not a 1-sample trajectory (bool) or a raw TypeError (float)
     for kind, length in (("constant", True), ("ramp", True), ("constant", 2.0), ("fast", 3.0)):
         name = type(length).__name__
         with pytest.raises(ValueError, match=f"^trajectory length must be an int, got {name}$"):
-            gen_daylight(kind, length)
-    one = gen_daylight("fast", 50, step_prob=1).samples
-    assert one == gen_daylight("fast", 50, step_prob=1.0).samples
+            gen_daylight(kind, length, seed=0)
+    one = gen_daylight("fast", 50, seed=0, step_prob=1).samples
+    assert one == gen_daylight("fast", 50, seed=0, step_prob=1.0).samples
 
 
 @pytest.mark.parametrize("kind, name", [(["fast"], "list"), (None, "NoneType"), (1, "int")])
 def test_gen_daylight_rejects_a_kind_that_is_not_a_str(kind, name):
     # an unhashable kind would otherwise end in a raw TypeError from the lookup
     with pytest.raises(ValueError, match=rf"^kind must be a str, got {name}$"):
-        gen_daylight(kind, 5)
+        gen_daylight(kind, 5, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 2, 1.5, True])
@@ -581,14 +587,14 @@ def _random_knot_sets(count, seed):
     rng = SplitMix64(seed)
     for _ in range(count):
         us = set()
-        while len(us) < 2 + rng.randbelow(10):
-            us.add(rng.randbelow(256))
-        e = rng.randbelow(60)
+        while len(us) < 2 + rng.next_u64() % 10:
+            us.add(rng.next_u64() % 256)
+        e = rng.next_u64() % 60
         knots = []
         for u in sorted(us):
             knots.append((u, e))
-            if rng.randbelow(4):  # else the next segment is flat
-                e = min(255, e + rng.randbelow(80))
+            if rng.next_u64() % 4:  # else the next segment is flat
+                e = min(255, e + rng.next_u64() % 80)
         yield tuple(knots)
 
 

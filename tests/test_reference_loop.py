@@ -41,30 +41,30 @@ WIRING = {
 
 def draw_config(rng: SplitMix64, i: int, tmp_path) -> SimConfig:
     def level() -> int:
-        return rng.randbelow(256)
+        return rng.next_u64() % 256
 
     def gamma() -> float:
         return exp(rng.uniform(log(GAMMA_SPAN[0]), log(GAMMA_SPAN[1])))
 
-    if rng.randbelow(2):
-        us = sorted({rng.randbelow(256) for _ in range(3 + rng.randbelow(20))})
+    if rng.next_u64() % 2:
+        us = sorted({rng.next_u64() % 256 for _ in range(3 + rng.next_u64() % 20)})
         es = sorted(level() for _ in us)
         path = tmp_path / f"lut{i}.csv"
         save_lut_csv(ProcessLut(tuple(zip(us, es))), path)
         lut_source = f"csv:{path}"
     else:
-        lut_source = (f"synthetic:e_max={120 + rng.randbelow(136)},"
-                      f"shape={rng.uniform(0.3, 3.0)!r},knots={8 + rng.randbelow(249)}")
+        lut_source = (f"synthetic:e_max={120 + rng.next_u64() % 136},"
+                      f"shape={rng.uniform(0.3, 3.0)!r},knots={8 + rng.next_u64() % 249}")
     kind = DAYLIGHT_KINDS[i % len(DAYLIGHT_KINDS)]
     if kind == "constant":
         daylight_source = f"constant:{level()}"
     elif kind == "step":
-        daylight_source = f"step:{level()},{level()},{rng.randbelow(STEPS + 10)}"
+        daylight_source = f"step:{level()},{level()},{rng.next_u64() % (STEPS + 10)}"
     elif kind == "ramp":
         daylight_source = f"ramp:{level()},{level()}"
     elif kind == "fast":
-        daylight_source = (f"fast:base={level()},amplitude={1 + rng.randbelow(255)},"
-                           f"step_prob={rng.random()!r},max_jump={1 + rng.randbelow(255)}")
+        daylight_source = (f"fast:base={level()},amplitude={1 + rng.next_u64() % 255},"
+                           f"step_prob={rng.random()!r},max_jump={1 + rng.next_u64() % 255}")
     else:
         path = tmp_path / f"day{i}.csv"
         save_daylight_csv(DaylightTrajectory(tuple(level() for _ in range(STEPS))), path)
@@ -74,15 +74,15 @@ def draw_config(rng: SplitMix64, i: int, tmp_path) -> SimConfig:
         e_desired=level(),
         gamma_controller=gamma(),
         gamma_inverse=gamma(),
-        seed_controller=rng.randbelow(1000),
-        seed_inverse=rng.randbelow(1000),
-        seed_daylight=rng.randbelow(1000),
+        seed_controller=rng.next_u64() % 1000,
+        seed_inverse=rng.next_u64() % 1000,
+        seed_daylight=rng.next_u64() % 1000,
         lut_source=lut_source,
         daylight_source=daylight_source,
-        error_scaling=ERROR_SCALINGS[rng.randbelow(2)],
-        inverse_target_lag=rng.randbelow(2),
-        plant_delay=rng.randbelow(2),
-        use_bias=bool(rng.randbelow(2)),
+        error_scaling=ERROR_SCALINGS[rng.next_u64() % 2],
+        inverse_target_lag=rng.next_u64() % 2,
+        plant_delay=rng.next_u64() % 2,
+        use_bias=bool(rng.next_u64() % 2),
     )
 
 

@@ -40,29 +40,6 @@ def test_uniform_bounds():
         assert -0.5 <= x <= 0.5
 
 
-def test_randbelow_range_and_coverage():
-    r = SplitMix64(11)
-    seen = set()
-    for _ in range(4000):
-        v = r.randbelow(10)
-        assert 0 <= v < 10
-        seen.add(v)
-    assert seen == set(range(10))
-
-
-def test_randbelow_one_is_zero():
-    r = SplitMix64(0)
-    assert all(r.randbelow(1) == 0 for _ in range(20))
-
-
-def test_randbelow_rejects_nonpositive():
-    r = SplitMix64(0)
-    with pytest.raises(ValueError):
-        r.randbelow(0)
-    with pytest.raises(ValueError):
-        r.randbelow(-3)
-
-
 def test_same_seed_same_stream():
     a = SplitMix64(123456789)
     b = SplitMix64(123456789)

@@ -65,7 +65,7 @@ def test_csv_inputs_load_csv_when_they_are_read(tmp_path):
     # A CSV table or daylight file is read line by line by plant.read_lines,
     # so such a run loads what `pass` loads: the csv module stays unloaded.
     save_lut_csv(synth_default_lut(), tmp_path / "lut.csv")
-    save_daylight_csv(gen_daylight("fast", 5), tmp_path / "daylight.csv")
+    save_daylight_csv(gen_daylight("fast", 5, seed=0), tmp_path / "daylight.csv")
     bare = loaded("pass")
     for option, name in (("--lut", "lut.csv"), ("--daylight", "daylight.csv")):
         assert loaded(simulate(tmp_path / "out", option, f"csv:{tmp_path / name}")) == bare

@@ -121,31 +121,31 @@ def reference_chart(title, series, y_label) -> str:
 
 def random_value(rng):
     """One point of a mixed series: int, bool, float or a signed zero."""
-    pick = rng.randbelow(6)
+    pick = rng.next_u64() % 6
     if pick == 0:
-        return rng.randbelow(256)
+        return rng.next_u64() % 256
     if pick == 1:
-        return rng.randbelow(511) - 255
+        return rng.next_u64() % 511 - 255
     if pick == 2:
         return rng.uniform(-300.0, 300.0)
     if pick == 3:
         return -0.0
     if pick == 4:
         return 0
-    return bool(rng.randbelow(2))
+    return bool(rng.next_u64() % 2)
 
 
 def random_values(rng) -> list:
-    n = rng.randbelow(40)
-    kind = rng.randbelow(7)
+    n = rng.next_u64() % 40
+    kind = rng.next_u64() % 7
     if kind == 0:
         return []
     if kind == 1:  # flat, the unit band case
         return [random_value(rng)] * n
     if kind == 2:  # the 8-bit grid the illuminance and command panels plot
-        return [rng.randbelow(256) for _ in range(n)]
+        return [rng.next_u64() % 256 for _ in range(n)]
     if kind == 3:  # the error panel's eps range
-        return [rng.randbelow(511) - 255 for _ in range(n)]
+        return [rng.next_u64() % 511 - 255 for _ in range(n)]
     if kind == 4:  # a narrow float range, where %.6g drops digits
         base = rng.uniform(-1.0, 1.0)
         return [base + rng.uniform(0.0, 1e-6) for _ in range(n)]
@@ -157,9 +157,9 @@ def random_values(rng) -> list:
 def random_case(rng):
     """(series, y_label): each series is (name, list of values)."""
     series = [
-        (NAMES[rng.randbelow(len(NAMES))], random_values(rng)) for _ in range(rng.randbelow(5))
+        (NAMES[rng.next_u64() % len(NAMES)], random_values(rng)) for _ in range(rng.next_u64() % 5)
     ]
-    return series, ("lx_d8bv", "V_d8bv")[rng.randbelow(2)]
+    return series, ("lx_d8bv", "V_d8bv")[rng.next_u64() % 2]
 
 
 def test_chart_bytes_match_per_point_reference(tmp_path):

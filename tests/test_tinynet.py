@@ -5,6 +5,7 @@ import math
 import pytest
 
 from gradient_oracle import loss_eval, numeric_gradient, tanh
+from reference_loop import row_loop_forward
 
 from daylux.rng import SplitMix64
 from daylux.tinynet import backprop_gradients, forward, init_network, train_step
@@ -25,7 +26,7 @@ def test_tanh_saturates_without_overflow():
 def test_linear_is_identity():
     # hidden units pinned at tanh(20) = 1, so the output is the bare sum,
     # which a squashing output could not reach
-    net = init_network(2)
+    net = init_network(2, 0.15, 0, True)
     for row in net.w1:
         row[:] = [0.0, 0.0, 20.0]
     net.w2[:] = [2.0, 2.0, 2.0, 0.5]
@@ -36,7 +37,7 @@ def test_linear_is_identity():
 
 def test_derivatives_from_output():
     # hidden deltas use tanh' = 1 - y**2 on the neuron's own output
-    net = init_network(2, seed=4)
+    net = init_network(2, 0.15, 4, True)
     x, t = [0.4, -0.6], 0.2
     y, h = forward(net, x)
     _, grad_w1, grad_w2 = backprop_gradients(net, x, t)
@@ -48,7 +49,7 @@ def test_derivatives_from_output():
 
 
 def test_init_network_frozen_seed0():
-    net = init_network(2, seed=0)
+    net = init_network(2, 0.15, 0, True)
     assert len(net.w1[0]) == 3  # two weights and the bias
     assert net.w1 == [
         [0.3833108082136426, -0.06847200295149003, -0.47356622840740226],
@@ -62,15 +63,15 @@ def test_init_network_frozen_seed0():
 
 def test_init_network_draw_order_is_stable_without_bias():
     # bias draws are skipped entirely, so the first neuron's weights match
-    with_b = init_network(2, seed=0)
-    without_b = init_network(2, seed=0, use_bias=False)
+    with_b = init_network(2, 0.15, 0, True)
+    without_b = init_network(2, 0.15, 0, False)
     assert without_b.w1[0][:2] == with_b.w1[0][:2]
     assert all(row[-1] == 0.0 for row in without_b.w1 + [without_b.w2])
 
 
 def test_init_network_bounds_property():
     for seed in range(30):
-        net = init_network(3, seed=seed)
+        net = init_network(3, 0.15, seed, True)
         for row in net.w1 + [net.w2]:
             assert all(-0.5 <= w <= 0.5 for w in row)
 
@@ -79,10 +80,10 @@ def test_init_network_validation():
     # one train_step at an infinite rate would make every weight non-finite
     for rate in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"^learning rate must be finite and > 0, got {rate}$"):
-            init_network(2, learning_rate=rate)
+            init_network(2, rate, 0, True)
     for n_inputs in (1, 4):  # forward is written for the two loop shapes only
         with pytest.raises(ValueError, match=f"n_inputs must be 2 or 3, got {n_inputs}"):
-            init_network(n_inputs)
+            init_network(n_inputs, 0.15, 0, True)
     for kwargs, message in (
         ({"n_inputs": 2.0}, "n_inputs must be an int, got float"),  # not a raw TypeError
         ({"n_inputs": True}, "n_inputs must be an int, got bool"),
@@ -91,20 +92,21 @@ def test_init_network_validation():
         ({"use_bias": 1}, "use_bias must be a bool, got int"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            init_network(**{"n_inputs": 2, **kwargs})
+            init_network(**{"n_inputs": 2, "learning_rate": 0.15, "seed": 0, "use_bias": True,
+                             **kwargs})
     for seed in (-1, 2**64, 1.5, True):  # -1 would build the net of seed 2**64 - 1
         with pytest.raises(ValueError, match=r"^seed must be an int in \[0, \d+\], got "):
-            init_network(2, seed=seed)
+            init_network(2, 0.15, seed, True)
 
 
 def test_forward_trace_shape():
-    y, h = forward(init_network(2), [0.2, -0.7])
+    y, h = forward(init_network(2, 0.15, 0, True), [0.2, -0.7])
     assert isinstance(y, float)
     assert len(h) == 3 and all(-1.0 < v < 1.0 for v in h)
 
 
 def test_forward_zeroed_net_outputs_bias():
-    net = init_network(2)
+    net = init_network(2, 0.15, 0, True)
     for row in net.w1:
         row[:] = [0.0, 0.0, 0.0]
     net.w2[:] = [0.0, 0.0, 0.0, 0.25]
@@ -114,26 +116,11 @@ def test_forward_zeroed_net_outputs_bias():
 
 def test_forward_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        forward(init_network(2), [0.1])
+        forward(init_network(2, 0.15, 0, True), [0.1])
     with pytest.raises(ValueError):
-        loss_eval(init_network(3), [0.1, 0.2], 0.0)
+        loss_eval(init_network(3, 0.15, 0, True), [0.1, 0.2], 0.0)
     with pytest.raises(ValueError):
-        forward(init_network(2), (0.1, 0.2, 0.3))
-
-
-def reference_forward(net, inputs):
-    """The generic n-3-1 forward pass: a bias-first row loop and the oracle's tanh."""
-    x = [float(v) for v in inputs]
-    h = []
-    for row in net.w1:
-        s = row[-1]
-        for w, v in zip(row, x):
-            s += w * v
-        h.append(tanh(s))
-    y = net.w2[-1]
-    for w, hj in zip(net.w2, h):
-        y += w * hj
-    return y, h
+        forward(init_network(2, 0.15, 0, True), (0.1, 0.2, 0.3))
 
 
 # Hidden sums at and around tanh's cut-offs, signed zeros, small negatives,
@@ -155,13 +142,13 @@ def test_forward_is_the_generic_row_loop_bit_for_bit(n, use_bias):
 
     rng = SplitMix64(11 + n)
     for trial in range(200):
-        net = init_network(n, seed=rng.next_u64(), use_bias=use_bias)
+        net = init_network(n, 0.15, rng.next_u64(), use_bias)
         scale = (1.0, 10.0, 60.0)[trial % 3]  # the last drives rows past +-20
         for row in net.w1:
             row[:n] = [w * scale for w in row[:n]]
         x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        assert hexed(forward(net, x)) == hexed(reference_forward(net, x))
-    net = init_network(n, use_bias=use_bias)
+        assert hexed(forward(net, x)) == hexed(row_loop_forward(net, x))
+    net = init_network(n, 0.15, 0, use_bias)
     x = [-0.5] * n  # zero weights times -0.5 add -0.0, which leaves every bias as is
     for i in range(0, len(EDGE_SUMS), 3):
         biases = (EDGE_SUMS[i:i + 3] + [0.0, 0.0])[:3]
@@ -169,18 +156,18 @@ def test_forward_is_the_generic_row_loop_bit_for_bit(n, use_bias):
             row[:] = [0.0] * n + [bias]
         y, h = forward(net, x)
         assert [v.hex() for v in h] == [tanh(b).hex() for b in biases]
-        assert hexed((y, h)) == hexed(reference_forward(net, x))
+        assert hexed((y, h)) == hexed(row_loop_forward(net, x))
 
 
 def test_forward_accepts_ints_tuples_and_generators():
-    net = init_network(3, seed=6)
+    net = init_network(3, 0.15, 6, True)
     want = forward(net, [1.0, 0.0, -1.0])
     assert forward(net, [1, 0, -1]) == want
     assert forward(net, (1.0, 0, -1)) == want
 
 
 def test_loss_eval_definition():
-    net = init_network(2)
+    net = init_network(2, 0.15, 0, True)
     y, _ = forward(net, [0.3, 0.1])
     assert loss_eval(net, [0.3, 0.1], 0.5) == pytest.approx(0.5 * (0.5 - y) ** 2, rel=1e-15)
 
@@ -190,7 +177,7 @@ def test_backprop_matches_numeric_gradient():
     worst = 0.0
     for trial in range(40):
         n = 2 if trial % 2 == 0 else 3
-        net = init_network(n, seed=rng.next_u64())
+        net = init_network(n, 0.15, rng.next_u64(), True)
         x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         t = rng.uniform(-1.0, 1.0)
         _, gw1, gw2 = backprop_gradients(net, x, t)
@@ -203,7 +190,7 @@ def test_backprop_matches_numeric_gradient():
 
 
 def test_train_step_returns_pre_update_loss():
-    net = init_network(2, seed=7)
+    net = init_network(2, 0.15, 7, True)
     before = loss_eval(net, [0.3, -0.2], 0.5)
     loss = train_step(net, [0.3, -0.2], 0.5)
     assert loss == before == 0.0173446038153871
@@ -212,7 +199,7 @@ def test_train_step_returns_pre_update_loss():
 
 
 def test_training_converges_on_fixed_sample():
-    net = init_network(2, seed=3)
+    net = init_network(2, 0.15, 3, True)
     first = train_step(net, [0.4, 0.4], -0.3)
     for _ in range(199):
         last = train_step(net, [0.4, 0.4], -0.3)
@@ -221,14 +208,14 @@ def test_training_converges_on_fixed_sample():
 
 
 def test_train_step_respects_use_bias():
-    net = init_network(2, seed=5, use_bias=False)
+    net = init_network(2, 0.15, 5, False)
     train_step(net, [0.1, 0.2], 0.3)
     assert all(row[-1] == 0.0 for row in net.w1 + [net.w2])
 
 
 def test_numeric_gradient_rejects_bad_step():
     with pytest.raises(ValueError):
-        numeric_gradient(init_network(2), [0.1, 0.2], 0.3, h=0.0)
+        numeric_gradient(init_network(2, 0.15, 0, True), [0.1, 0.2], 0.3, h=0.0)
 
 
 def test_train_step_is_the_backprop_update_bit_for_bit():
@@ -238,8 +225,7 @@ def test_train_step_is_the_backprop_update_bit_for_bit():
     for trial in range(48):
         n = 2 + trial % 2
         use_bias = trial % 4 < 2
-        net = init_network(n, learning_rate=0.15 + 0.1 * (trial % 3),
-                           seed=rng.next_u64(), use_bias=use_bias)
+        net = init_network(n, 0.15 + 0.1 * (trial % 3), rng.next_u64(), use_bias)
         x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         if trial % 3 == 0:  # drive one hidden unit into saturation, |sum| >= 20
             x[0] = 0.9
