@@ -109,26 +109,6 @@ def cmd_simulate(cfg: SimConfig) -> int:
     return 0
 
 
-def _save_table(table, path) -> None:
-    """save_lut_csv, but a write that fails leaves no cut table in a regular file.
-
-    A cut table would load as a valid shorter one.  The path is opened in
-    place, as open(path, "w") would, so a device, FIFO or link there
-    (/dev/null, /dev/stdout) is written to and stays.  Only after it opened
-    does a failure empty the regular file it was writing, for every name of
-    it, and remove that file's name at path unless the name is a link.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        save_lut_csv(table, fd)  # open() takes the descriptor as it takes a path
-    except BaseException:
-        if os.path.isfile(path):  # the regular file this write opened, perhaps through a link
-            os.truncate(path, 0)
-            if not os.path.islink(path):
-                os.remove(path)
-        raise
-
-
 def cmd_lut(ns: argparse.Namespace) -> int:
     # Everything that can fail is checked before the first line is printed.
     query_e = getattr(ns, "query_e", None)  # a flag of inspect only
@@ -137,7 +117,7 @@ def cmd_lut(ns: argparse.Namespace) -> int:
         check_d8bv(query_e, "query_e")
     table = build_lut(SimConfig(lut_source=ns.lut))
     if ns.lut_command == "generate":
-        _save_table(table, ns.out)
+        save_lut_csv(table, ns.out)
         print(f"wrote {ns.out} ({len(table.knots)} knots)")
         return 0
     print(f"table: {ns.lut}")

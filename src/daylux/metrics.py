@@ -36,7 +36,7 @@ def band_report(records, warmup_steps: int) -> SimpleNamespace:
     check_type(warmup_steps, "warmup_steps", "int")
     if warmup_steps < 0:
         raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
-    n_steps = n = n_wide = n_narrow = n_shell = n_percep = 0
+    n_steps = n = n_wide = n_narrow = n_percep = 0
     sq = 0.0
     eps_min = eps_max = 0  # the first steady record replaces both
     for n_steps, r in enumerate(records, 1):
@@ -52,8 +52,6 @@ def band_report(records, warmup_steps: int) -> SimpleNamespace:
             n_wide += 1
             if NARROW_BAND[0] <= e <= NARROW_BAND[1]:
                 n_narrow += 1
-            else:
-                n_shell += 1
         if PERCEPTION_BAND[0] <= r.e_measured <= PERCEPTION_BAND[1]:
             n_percep += 1
         sq += e * e  # in record order, so rms_eps is the same float on every run
@@ -61,7 +59,7 @@ def band_report(records, warmup_steps: int) -> SimpleNamespace:
     return SimpleNamespace(
         warmup_steps=warmup_steps, n_steps=n_steps, n_steady=n, eps_min=eps_min,
         eps_max=eps_max, frac_in_wide=n_wide / d, frac_in_narrow=n_narrow / d,
-        frac_in_shell=n_shell / d, frac_meas_in_perception=n_percep / d,
+        frac_in_shell=(n_wide - n_narrow) / d, frac_meas_in_perception=n_percep / d,
         rms_eps=math.sqrt(sq / d), valid=n > 0,
     )
 

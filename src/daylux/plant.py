@@ -17,6 +17,7 @@ from __future__ import annotations
 import codecs
 import functools
 import math
+import os
 from collections import deque
 from itertools import repeat
 
@@ -191,7 +192,7 @@ def _gen_fast_changes(
     step at the defaults); otherwise the level advances by the current
     slope.  Levels are confined to [max(0, base-amplitude),
     min(255, base+amplitude)].  Draw budget: one u64 on drift steps, three
-    on jump steps, plus one for the initial slope.
+    on jump steps, plus one for the initial slope when there is a step 1.
     """
     base = check_d8bv(base, "base")
     for name, value in (("amplitude", amplitude), ("max_jump", max_jump)):
@@ -203,7 +204,7 @@ def _gen_fast_changes(
     hi = min(D8BV_MAX, base + amplitude)
     draw = SplitMix64(seed).randoms().__next__  # random(); uniform(a, b) is a + (b - a) * draw()
     slope_span = amplitude * step_prob / 6.0
-    slope = -slope_span + 2 * slope_span * draw()
+    slope = -slope_span + 2 * slope_span * draw() if length > 1 else 0.0  # first read at step 1
     level = float(base)
     samples = [base]
     append = samples.append
@@ -320,7 +321,24 @@ def _read_int_rows(path, header: tuple[str, str]):
 
 
 def _write_int_rows(path, header: tuple[str, str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for a, b in rows:
-            fh.write(f"{a},{b}\n")
+    """Write a two-column integer table; a write that fails leaves no cut table in a regular file.
+
+    Every table file is written here.  A cut table would load as a valid
+    shorter one.  The path is opened in place, as open(path, "w") would, so a
+    device, FIFO or link there (/dev/null, /dev/stdout) is written to and
+    stays.  Only after it opened does a failure empty the regular file it was
+    writing, for every name of it, and remove that file's name at path unless
+    the name is a link.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for a, b in rows:
+                fh.write(f"{a},{b}\n")
+    except BaseException:
+        if os.path.isfile(path):  # the regular file this write opened, perhaps through a link
+            os.truncate(path, 0)
+            if not os.path.islink(path):
+                os.remove(path)
+        raise

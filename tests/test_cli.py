@@ -18,7 +18,9 @@ import daylux
 import daylux.cli as cli_mod
 from daylux.cli import build_parser, main, parse_config
 from daylux.config import FIELDS, ConfigError, SimConfig, apply_settings
-from daylux.plant import load_lut_csv
+from daylux.plant import (
+    gen_daylight, load_lut_csv, save_daylight_csv, save_lut_csv, synth_default_lut,
+)
 from daylux.report import ARTIFACT_NAMES, TRAJECTORY_HEADER
 
 
@@ -607,11 +609,12 @@ def test_a_write_that_fails_leaves_no_artifact(tmp_path):
         assert os.listdir(tmp_path / "kept") == []
 
 
-def _failing_writes(monkeypatch, n, exc):
+def _failing_writes(monkeypatch, n, exc, modules=(daylux.report, daylux.svgplot)):
     """Make the n-th open, write or rename of an artifact write raise exc.
 
     The writers look open up in their module's globals, so open is replaced
-    in report and svgplot.  Returns the list of calls made, one entry each.
+    in `modules`: report and svgplot write a run's artifacts, and plant every
+    table.  Returns the list of calls made, one entry each.
     """
     calls = []
 
@@ -642,7 +645,7 @@ def _failing_writes(monkeypatch, n, exc):
         tick("rename")
         replace(src, dst)
 
-    for module in (daylux.report, daylux.svgplot):
+    for module in modules:
         monkeypatch.setattr(module, "open", failing_open, raising=False)
     monkeypatch.setattr(daylux.report.os, "replace", failing_replace)
     return calls
@@ -732,6 +735,30 @@ def test_a_lut_write_that_fails_leaves_no_table(tmp_path):
     assert os.listdir(tmp_path) == []
     assert _main_in_a_child(*argv, file_size_limit=4096).returncode == 0
     assert len(load_lut_csv(out).knots) == 256
+
+
+def test_a_table_write_that_fails_in_the_python_api_leaves_no_table(tmp_path, monkeypatch):
+    # save_lut_csv and save_daylight_csv write through the writer behind lut generate --out
+    path, other = tmp_path / "t.csv", tmp_path / "other.csv"
+    for save, table in ((save_lut_csv, synth_default_lut()),
+                        (save_daylight_csv, gen_daylight("fast", 40, seed=0))):
+        with monkeypatch.context() as patch:
+            calls = _failing_writes(patch, 0, None, modules=(daylux.plant,))
+            save(table, path)
+        assert calls == ["open"] + ["write"] * len(path.read_text().splitlines())
+        for exc in (OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()):
+            for n in range(2, len(calls) + 1):  # each write: the header, then each row
+                for linked in (False, True):
+                    path.write_text("u,e\n0,0\n255,255\n")  # an earlier table
+                    if linked:
+                        os.link(path, other)
+                    with monkeypatch.context() as patch, pytest.raises(type(exc)):
+                        _failing_writes(patch, n, exc, modules=(daylux.plant,))
+                        save(table, path)
+                    assert os.listdir(tmp_path) == (["other.csv"] if linked else []), (n, exc)
+                    if linked:  # no cut table under any name
+                        assert other.read_text() == "", (n, exc)
+                        other.unlink()
 
 
 def test_a_lut_out_path_that_is_no_regular_file_is_written_in_place(tmp_path, capsys):

@@ -189,9 +189,17 @@ def test_gen_ramp():
     assert gen_daylight("ramp", 1, seed=0, level0=7, level1=200).samples == (7,)
 
 
-def test_gen_fast_frozen_prefix():
+def test_gen_fast_frozen_prefix(monkeypatch):
     traj = gen_daylight("fast", 12, seed=2)
     assert traj.samples == (40, 40, 40, 40, 40, 40, 41, 41, 41, 41, 41, 41)
+
+    def no_blocks(states):
+        raise AssertionError("a block of 256 draws was computed")
+        yield
+
+    # a one-sample walk has no step to draw for, nor to read a slope at
+    monkeypatch.setattr("daylux.rng._blocks", no_blocks)
+    assert gen_daylight("fast", 1, seed=2).samples == (40,)
 
 
 def test_gen_fast_deterministic_and_seed_sensitive():
@@ -248,6 +256,11 @@ def fast_walk_cases():
     # step_prob 0 a length of 256 ends a 256-draw block exactly and 257 starts
     # the next; step_prob 1 crosses a block boundary mid-jump.
     cases = [(1, 2, 40, 60, 0.05, 50), (2, 2, 40, 60, 0.05, 50)]
+    # A 2-sample walk whose drawn slope shows at step 1, and a step_prob equal
+    # to step 1's draw (seed 5's second), which drifts: the jump test is r < step_prob.
+    second = SplitMix64(5)
+    second.random()
+    cases += [(2, 7, 128, 255, 0.05, 255), (3, 5, 128, 60, second.random(), 50)]
     for length in (255, 256, 257, 511, 512, 513):
         for step_prob in (0, 0.0, 1, 1.0, 0.05):
             cases.append((length, 2**64 - 1, 40, 60, step_prob, 50))
