@@ -65,23 +65,26 @@ def check_type(value, name: str, type_name: str):
     return value
 
 
+_UNIT = tuple(v / 127.5 - 1.0 for v in range(256))
+
+
 def scale_to_unit(value: int) -> float:
-    """Map an 8-bit value onto [-1, 1]: v/127.5 - 1 (0 -> -1, 255 -> +1)."""
-    check_d8bv(value)
-    return value / 127.5 - 1.0
+    """Map an 8-bit value onto [-1, 1]: v/127.5 - 1 (0 -> -1, 255 -> +1), read from a table."""
+    return _UNIT[check_d8bv(value)]
 
 
 def unit_to_d8bv(u: float) -> int:
     """Map a unit-scale value back to the 8-bit grid.
 
     The input is saturated to [-1, 1] first (the actuator limit), then
-    quantised with round-half-away-from-zero.  0.0 -> 128.
+    quantised with round-half-away-from-zero, which for the saturated value's
+    non-negative image is floor(x + 0.5).  0.0 -> 128.
     """
     if u < -1.0:
         u = -1.0
     elif u > 1.0:
         u = 1.0
-    return round_half_away((u + 1.0) * 127.5)
+    return floor((u + 1.0) * 127.5 + 0.5)
 
 
 def scale_error(eps: int) -> float:
@@ -108,4 +111,5 @@ def clamp8_sum(a: int, b: int) -> int:
     """Sum of two 8-bit signals, saturating at 255 (sensor ceiling)."""
     check_d8bv(a, "a")
     check_d8bv(b, "b")
-    return min(a + b, D8BV_MAX)
+    s = a + b
+    return s if s < D8BV_MAX else D8BV_MAX

@@ -78,8 +78,8 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
 
     The hidden sums are unrolled for the two input widths and the tanh is
     inlined; both are the exact expressions the conventions above describe,
-    so the result is bit-identical to the generic row loop.  Inputs of the
-    wrong count raise the ValueError of their unpacking.
+    so the result is bit-identical to the generic row loop, a NaN's sign bit
+    aside.  Inputs of the wrong count raise the ValueError of their unpacking.
     """
     r0, r1, r2 = net.w1
     if len(r0) == 3:  # two weights and a bias
@@ -92,32 +92,41 @@ def forward(net: TinyNet, inputs) -> tuple[float, list[float]]:
         s0 = r0[3] + r0[0] * x0 + r0[1] * x1 + r0[2] * x2
         s1 = r1[3] + r1[0] * x0 + r1[1] * x1 + r1[2] * x2
         s2 = r2[3] + r2[0] * x0 + r2[1] * x1 + r2[2] * x2
-    # h_j = tanh(s_j) with the conventions' exact expressions and cut-offs,
-    # so even a NaN sum gives the NaN (sign bit included) of the plain form.
-    if s0 >= 20.0:
-        h0 = 1.0
-    elif s0 <= -20.0:
-        h0 = -1.0
+    # h_j = tanh(s_j) with the conventions' exact expressions and cut-offs, split
+    # by the sign of s_j so that |s_j| and the negation fold away; NaN stays NaN.
+    if s0 >= 0.0:
+        if s0 >= 20.0:
+            h0 = 1.0
+        else:
+            e = exp(-2.0 * s0)
+            h0 = (1.0 - e) / (1.0 + e)
+    elif s0 > -20.0:
+        e = exp(2.0 * s0)
+        h0 = -((1.0 - e) / (1.0 + e))
     else:
-        e = exp(-2.0 * abs(s0))
-        t = (1.0 - e) / (1.0 + e)
-        h0 = t if s0 >= 0.0 else -t
-    if s1 >= 20.0:
-        h1 = 1.0
-    elif s1 <= -20.0:
-        h1 = -1.0
+        h0 = -1.0 if s0 <= -20.0 else s0
+    if s1 >= 0.0:
+        if s1 >= 20.0:
+            h1 = 1.0
+        else:
+            e = exp(-2.0 * s1)
+            h1 = (1.0 - e) / (1.0 + e)
+    elif s1 > -20.0:
+        e = exp(2.0 * s1)
+        h1 = -((1.0 - e) / (1.0 + e))
     else:
-        e = exp(-2.0 * abs(s1))
-        t = (1.0 - e) / (1.0 + e)
-        h1 = t if s1 >= 0.0 else -t
-    if s2 >= 20.0:
-        h2 = 1.0
-    elif s2 <= -20.0:
-        h2 = -1.0
+        h1 = -1.0 if s1 <= -20.0 else s1
+    if s2 >= 0.0:
+        if s2 >= 20.0:
+            h2 = 1.0
+        else:
+            e = exp(-2.0 * s2)
+            h2 = (1.0 - e) / (1.0 + e)
+    elif s2 > -20.0:
+        e = exp(2.0 * s2)
+        h2 = -((1.0 - e) / (1.0 + e))
     else:
-        e = exp(-2.0 * abs(s2))
-        t = (1.0 - e) / (1.0 + e)
-        h2 = t if s2 >= 0.0 else -t
+        h2 = -1.0 if s2 <= -20.0 else s2
     w2 = net.w2
     return w2[3] + w2[0] * h0 + w2[1] * h1 + w2[2] * h2, [h0, h1, h2]
 

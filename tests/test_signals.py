@@ -1,5 +1,6 @@
 """Tests for 8-bit signal scaling, quantization, and clamped addition."""
 
+import math
 from enum import IntEnum
 
 import pytest
@@ -38,12 +39,22 @@ def test_scale_to_unit_endpoints():
     assert scale_to_unit(0) == -1.0
     assert scale_to_unit(255) == 1.0
     assert scale_to_unit(128) == 128 / 127.5 - 1.0
+    for v in range(256):  # the table holds the plain form's bits
+        assert scale_to_unit(v).hex() == (v / 127.5 - 1.0).hex()
 
 
 def test_unit_to_d8bv_endpoints_and_midpoint():
     assert unit_to_d8bv(-1.0) == 0
     assert unit_to_d8bv(1.0) == 255
     assert unit_to_d8bv(0.0) == 128  # (0+1)*127.5 = 127.5, half away -> 128
+    # saturate, then round half away: at each rounding boundary, the floats on
+    # either side of it, and the signed ends
+    points = [0.0, -0.0, 1.0, -1.0, 1.5, -1.5]
+    for k in range(-1, 256):
+        u = (k + 0.5) / 127.5 - 1
+        points += [math.nextafter(u, -math.inf), u, math.nextafter(u, math.inf)]
+    for u in points:
+        assert unit_to_d8bv(u) == round_half_away((min(max(u, -1.0), 1.0) + 1.0) * 127.5), u
 
 
 def test_unit_to_d8bv_saturates():
@@ -81,6 +92,9 @@ def test_clamp8_sum():
     assert clamp8_sum(200, 100) == 255
     assert clamp8_sum(0, 0) == 0
     assert clamp8_sum(255, 255) == 255
+    for a in range(256):
+        for b in range(256):
+            assert clamp8_sum(a, b) == min(a + b, 255)
 
 
 def test_check_d8bv_accepts_range():

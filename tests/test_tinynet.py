@@ -129,7 +129,8 @@ def test_forward_rejects_wrong_arity():
 # row whose only non-zero entry is its bias.
 EDGE_SUMS = [
     20.0, -20.0, 19.999, -19.999, 0.0, -0.0, -1e-300, -1e-9, -0.3, 1e6, -1e6,
-    math.inf, -math.inf, math.nan,
+    math.inf, -math.inf, math.nan, -math.nan, math.nextafter(20.0, 0.0),
+    math.nextafter(-20.0, 0.0),
 ]
 
 
@@ -150,8 +151,8 @@ def test_forward_is_the_generic_row_loop_bit_for_bit(n, use_bias):
         assert hexed(forward(net, x)) == hexed(row_loop_forward(net, x))
     net = init_network(n, 0.15, 0, use_bias)
     x = [-0.5] * n  # zero weights times -0.5 add -0.0, which leaves every bias as is
-    for i in range(0, len(EDGE_SUMS), 3):
-        biases = (EDGE_SUMS[i:i + 3] + [0.0, 0.0])[:3]
+    for i in range(len(EDGE_SUMS)):  # every sum reaches each of the three hidden units
+        biases = [EDGE_SUMS[(i + j) % len(EDGE_SUMS)] for j in range(3)]
         for row, bias in zip(net.w1, biases):
             row[:] = [0.0] * n + [bias]
         y, h = forward(net, x)
