@@ -20,7 +20,7 @@ import sys
 from .config import ALLOWED, FIELDS, SimConfig, apply_settings, build_lut, convert, load_config_file
 from .loop import run_simulation
 from .plant import lut_eval, lut_inverse, save_lut_csv
-from .report import ARTIFACT_NAMES, remove_artifacts, write_run_artifacts
+from .report import ARTIFACT_NAMES, write_run_artifacts
 from .signals import check_d8bv
 
 
@@ -96,12 +96,9 @@ def parse_config(ns: argparse.Namespace) -> SimConfig:
 
 
 def cmd_simulate(cfg: SimConfig) -> int:
-    paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
-    # A run that fails leaves no artifacts, so none of an earlier run's may
-    # stay; a directory at an artifact name stops the run before it starts.
-    remove_artifacts(paths)
     records, _nets = run_simulation(cfg)
     report, text = write_run_artifacts(records, cfg.warmup, cfg.out_dir)
+    paths = [os.path.join(cfg.out_dir, name) for name in ARTIFACT_NAMES]
     print(f"wrote {paths[0]} ({report.n_steps} rows)")
     for path in paths[1:]:
         print(f"wrote {path}")

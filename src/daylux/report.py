@@ -7,6 +7,7 @@ repeated run reproduces each artifact byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from operator import attrgetter
@@ -115,18 +116,14 @@ def summary_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def remove_artifacts(paths) -> None:
-    """Remove the file or link (never its target) at each path; a directory raises."""
-    for path in paths:
-        if os.path.lexists(path):
-            os.remove(path)
-
-
 def write_run_artifacts(records, warmup_steps: int, out_dir):
     """Write every artifact of a run (ARTIFACT_NAMES) to out_dir; returns report and summary.
 
     Only a whole set makes out_dir and is renamed into place from a staging
-    directory, so not even a killed process leaves a cut file at an artifact name.
+    directory, so not even a killed process leaves a cut file at an artifact
+    name, and a failure before the renames leaves out_dir as it was.  An
+    earlier set loses its summary.txt before the first rename and the new one
+    is renamed last, so a set without summary.txt is unfinished.
     """
     report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
     staging_parent = nearest_existing(out_dir)[0] or os.curdir  # renames stay on one file system
@@ -138,11 +135,15 @@ def write_run_artifacts(records, warmup_steps: int, out_dir):
         with open(os.path.join(staging, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.makedirs(out_dir, exist_ok=True)
+        paths = [os.path.join(out_dir, name) for name in ARTIFACT_NAMES]
+        with contextlib.suppress(FileNotFoundError):  # a file or a link goes; a directory raises
+            os.remove(paths[-1])
         try:
-            for name in ARTIFACT_NAMES:
-                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-        except BaseException:  # a name whose staged file is gone was renamed: take it back
-            remove_artifacts([os.path.join(out_dir, name) for name in ARTIFACT_NAMES
-                              if not os.path.lexists(os.path.join(staging, name))])
+            for name, path in zip(ARTIFACT_NAMES, paths):
+                os.replace(os.path.join(staging, name), path)
+        except BaseException:  # a mixed set is worse than none: every artifact name goes
+            for path in paths:
+                with contextlib.suppress(OSError):  # absent, or a directory, which stays
+                    os.remove(path)
             raise
     return report, text

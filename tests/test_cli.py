@@ -21,7 +21,13 @@ from daylux.config import FIELDS, ConfigError, SimConfig, apply_settings
 from daylux.plant import (
     gen_daylight, load_lut_csv, save_daylight_csv, save_lut_csv, synth_default_lut,
 )
-from daylux.report import ARTIFACT_NAMES, TRAJECTORY_HEADER
+from daylux.loop import run_simulation
+from daylux.report import ARTIFACT_NAMES, TRAJECTORY_HEADER, write_run_artifacts
+
+
+def contents(out):
+    """Each file name in out with its bytes; a directory maps to None."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
 
 
 def run_simulate(tmp_path, *extra, steps=40):
@@ -368,13 +374,12 @@ def test_spec_range_errors_name_their_source(tmp_path, capsys, flag, spec, messa
     assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
-    # validate checks every typed-in value before an earlier set is cleared;
-    # a CSV's rows are read when the run builds its sources, after the clearing
     assert main(["simulate", "--steps", "5", "--out-dir", str(out)]) == 0
     capsys.readouterr()
+    earlier = contents(out)
     assert main(["simulate", "--steps", "5", flag, spec, "--out-dir", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert sorted(os.listdir(out)) == ([] if spec.startswith("csv:") else ARTIFACTS)
+    assert contents(out) == earlier
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -526,6 +531,7 @@ def test_an_interrupt_exits_130_with_one_error_line(tmp_path, monkeypatch, capsy
     out = tmp_path / "d"
     assert main(["simulate", "--steps", "50", "--out-dir", str(out)]) == 0
     capsys.readouterr()
+    earlier = contents(out)
 
     def interrupted(cfg):
         raise KeyboardInterrupt
@@ -537,7 +543,7 @@ def test_an_interrupt_exits_130_with_one_error_line(tmp_path, monkeypatch, capsy
         pytest.fail("KeyboardInterrupt escaped cli.main")
     assert code == 130
     assert capsys.readouterr() == ("", "error: interrupted\n")
-    assert not set(os.listdir(out)) & set(ARTIFACT_NAMES)  # the earlier run's went too
+    assert contents(out) == earlier
 
 
 def test_an_interrupt_in_the_loop_names_its_step(tmp_path, monkeypatch, capsys):
@@ -676,6 +682,87 @@ def test_a_write_that_fails_at_any_call_leaves_no_artifact(tmp_path, monkeypatch
     capsys.readouterr()
 
 
+def test_a_write_that_fails_over_an_earlier_set_keeps_it_or_leaves_no_artifact(
+    tmp_path, monkeypatch, capsys,
+):
+    out = tmp_path / "d"
+    argv = ["simulate", "--steps", "30", "--daylight", "constant:30", "--out-dir", str(out)]
+    cfg = parse_config(build_parser().parse_args(argv))
+    ran = cli_mod.run_simulation(cfg)
+    earlier_records, _ = run_simulation(SimConfig(steps=20, daylight_source="constant:30"))
+    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: ran)  # the writes are under test
+    with monkeypatch.context() as patch:
+        calls = _failing_writes(patch, 0, None)
+        assert main(argv) == 0
+    capsys.readouterr()
+    for exc, code in ((OSError(errno.ENOSPC, "No space left on device"), 2),
+                      (KeyboardInterrupt(), 130)):
+        for n, call in enumerate(calls, 1):
+            for via_cli in (True, False):  # daylux simulate, and the Python API alone
+                shutil.rmtree(out)
+                write_run_artifacts(earlier_records, cfg.warmup, out)
+                (out / "notes.txt").write_text("not an artifact\n")
+                earlier = contents(out)
+                with monkeypatch.context() as patch:
+                    _failing_writes(patch, n, exc)
+                    if via_cli:
+                        assert main(argv) == code, (n, call)
+                    else:
+                        with pytest.raises(type(exc)):
+                            write_run_artifacts(ran[0], cfg.warmup, out)
+                # before the renames the earlier set stays whole; a failed
+                # rename leaves no artifact name, so no set mixes two runs
+                after = contents(out)
+                assert after == ({"notes.txt": earlier["notes.txt"]} if call == "rename"
+                                 else earlier), (n, exc, via_cli)
+    capsys.readouterr()
+
+
+_CRASH_AT_RENAME = """
+import os, sys
+from daylux.config import SimConfig
+from daylux.loop import run_simulation
+from daylux.report import write_run_artifacts
+
+nth, out = int(sys.argv[1]), sys.argv[2]
+cfg = SimConfig(steps=30, daylight_source="constant:30")
+records, _ = run_simulation(cfg)
+renames, replace = [], os.replace
+
+def crash_at_nth(src, dst):
+    renames.append(dst)
+    if len(renames) == nth:
+        os._exit(137)  # as a SIGKILL would: no clean-up runs
+    replace(src, dst)
+
+os.replace = crash_at_nth
+write_run_artifacts(records, cfg.warmup, out)
+"""
+
+
+@pytest.mark.parametrize("nth", [1, 3, len(ARTIFACT_NAMES)])
+def test_a_process_killed_while_renaming_leaves_no_summary(tmp_path, nth):
+    out, new = tmp_path / "d", tmp_path / "new"
+    for steps, path in ((20, out), (30, new)):  # an earlier set, and the one the child writes
+        cfg = SimConfig(steps=steps, daylight_source="constant:30")
+        write_run_artifacts(run_simulation(cfg)[0], cfg.warmup, path)
+    earlier, written = contents(out), contents(new)
+    env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _CRASH_AT_RENAME, str(nth), str(out)],
+                           capture_output=True, env=env, timeout=120)
+    assert child.returncode == 137, child.stderr.decode()
+    (staging,) = set(os.listdir(out)) - set(ARTIFACT_NAMES)
+    assert staging.startswith(".daylux-")
+    shutil.rmtree(out / staging)
+    # summary.txt, renamed last, is gone: the set reads as unfinished; each
+    # name before the cut holds the new run's bytes, each after it the earlier run's
+    left = contents(out)
+    assert sorted(left) == sorted(ARTIFACT_NAMES[:-1])
+    for i, name in enumerate(ARTIFACT_NAMES[:-1], 1):
+        assert earlier[name] != written[name]
+        assert left[name] == (written if i < nth else earlier)[name], name
+
+
 _CRASH_AT_WRITE = """
 import os, sys
 import daylux.report, daylux.svgplot
@@ -710,8 +797,9 @@ sys.exit(main(sys.argv[3:]))
 ])
 def test_a_process_killed_while_writing_leaves_no_cut_artifact(tmp_path, capsys, name, nth):
     out = tmp_path / "d"
-    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 0  # an earlier set
+    assert main(["simulate", "--steps", "20", "--out-dir", str(out)]) == 0  # an earlier set
     capsys.readouterr()
+    earlier = contents(out)
     env = {**os.environ, "PYTHONPATH": str(Path(daylux.__file__).parent.parent)}
     child = subprocess.run(
         [sys.executable, "-c", _CRASH_AT_WRITE, name, str(nth),
@@ -719,9 +807,12 @@ def test_a_process_killed_while_writing_leaves_no_cut_artifact(tmp_path, capsys,
         capture_output=True, env=env, timeout=120,
     )
     assert child.returncode == 137, child.stderr.decode()
-    # the cut file stays in the staging directory, at no artifact name
-    (staging,) = os.listdir(out)
+    # the cut file stays in the staging directory, at no artifact name, and
+    # the earlier set stays whole beside it
+    (staging,) = set(os.listdir(out)) - set(earlier)
     assert staging.startswith(".daylux-") and name in os.listdir(out / staging)
+    shutil.rmtree(out / staging)
+    assert contents(out) == earlier
 
 
 def test_a_lut_write_that_fails_leaves_no_table(tmp_path):
@@ -802,30 +893,35 @@ ARTIFACTS = sorted(f"panel_{p}.{ext}" for p in PANELS for ext in ("csv", "svg"))
 ARTIFACTS += ["summary.txt", "trajectory.csv"]
 
 
-def test_a_failed_run_leaves_none_of_an_earlier_runs_artifacts(tmp_path, capsys):
+def test_a_failed_run_keeps_an_earlier_set_whole(tmp_path, capsys):
     out = tmp_path / "d"
     assert main(["simulate", "--steps", "50", "--out-dir", str(out)]) == 0
     assert sorted(os.listdir(out)) == ARTIFACTS
     (out / "notes.txt").write_text("not an artifact\n")
+    earlier = contents(out)
     assert main(["simulate", "--steps", "200", "--gamma-controller", "50", "--out-dir", str(out)]) == 1
     assert "diverged at step k=69" in capsys.readouterr().err
-    assert os.listdir(out) == ["notes.txt"]  # every artifact name went, and only those
+    assert contents(out) == earlier
 
 
-def test_a_directory_at_an_artifact_name_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name", [ARTIFACT_NAMES[0], ARTIFACT_NAMES[-1]])
+def test_a_directory_at_an_artifact_name_exits_2_and_stays(tmp_path, capsys, name):
     out = tmp_path / "d"
-    assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 0
+    assert main(["simulate", "--steps", "20", "--out-dir", str(out)]) == 0
     (out / "notes.txt").write_text("not an artifact\n")
-    (out / "summary.txt").unlink()
-    (out / "summary.txt").mkdir()
+    (out / name).unlink()
+    (out / name / "inner").mkdir(parents=True)
+    earlier = contents(out)
     capsys.readouterr()
-    monkeypatch.setattr(cli_mod, "run_simulation", lambda cfg: pytest.fail("the run started"))
     assert main(["simulate", "--steps", "30", "--out-dir", str(out)]) == 2
     stdout, stderr = capsys.readouterr()
     assert stdout == ""
-    assert stderr.startswith("io error: ") and stderr.endswith(f"'{out / 'summary.txt'}'\n")
-    assert sorted(os.listdir(out)) == ["notes.txt", "summary.txt"]  # trajectory.csv went
-    assert (out / "summary.txt").is_dir()
+    assert stderr.startswith("io error: ") and stderr.endswith(f"'{out / name}'\n")
+    assert os.listdir(out / name) == ["inner"]
+    if name == "summary.txt":  # its removal, before the first rename, fails: nothing changes
+        assert contents(out) == earlier
+    else:  # its rename fails: every other artifact name goes
+        assert sorted(os.listdir(out)) == ["notes.txt", name]
 
 
 def test_a_dangling_link_at_an_artifact_name_is_replaced_by_the_file(tmp_path, capsys):
