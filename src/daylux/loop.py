@@ -13,12 +13,12 @@ Step ordering (one-step actuation delay, the default):
   (a) the plant responds to the previous command, daylight adds in,
       the sensor saturates at 255;
   (b) eps = E_desired - E_measured, deps = eps - eps_prev (exact integers);
-  (c) the controller issues U from (eps, deps);
+  (c) the controller issues U from x = (eps, deps), scaled once (signals);
   (d) the inverse model trains on the measured triple -> command pairing;
   (e) the freshly updated inverse model produces U_IM from the constant
       setpoint triple (E_desired, E_desired, E_desired);
-  (f) the controller trains on (eps_prev, deps_prev) -> U_IM, skipped at k=0
-      where no previous error exists;
+  (f) the controller trains on the previous step's x -> U_IM, the very pair
+      it acted on then, skipped at k=0 where no previous error exists;
   (g) histories shift, k advances.
 
 (d) before (e) is deliberate: the controller's target comes from the most
@@ -41,12 +41,7 @@ from . import config as config_mod
 from .config import SimConfig
 from .plant import DaylightTrajectory, ProcessLut, lut_eval
 from .signals import (
-    check_d8bv,
-    clamp8_sum,
-    scale_delta_error,
-    scale_error,
-    scale_to_unit,
-    unit_to_d8bv,
+    EPS_SPAN, check_d8bv, clamp8_sum, scale_delta_error, scale_to_unit, unit_to_d8bv,
 )
 from .tinynet import TinyNet, forward, init_network, train_step
 
@@ -82,14 +77,15 @@ class LoopState:
 
     The measured history is newest-first and is filled with the first
     measurement during step 0 (no fictitious zero transient); from then on it
-    always holds exactly 3 entries.
+    always holds exactly 3 entries.  x_prev is the previous step's scaled
+    error pair; its start (0.0, 0.0) is the pair (0, 0) under either scaling.
     """
 
     def __init__(self) -> None:
         self.k = 0
         self.e_measured_hist: list[int] = []
         self.eps_prev = 0
-        self.deps_prev = 0
+        self.x_prev = (0.0, 0.0)
         self.u_prev = 0
 
 
@@ -131,9 +127,8 @@ class StepRecord:
         return f"StepRecord({fields})"
 
 
-def controller_action(ctl: TinyNet, eps: int, deps: int, error_scaling: str) -> int:
-    """Command U for the current error pair; always a valid 8-bit value."""
-    x = [scale_error(eps), scale_delta_error(deps, error_scaling)]
+def controller_action(ctl: TinyNet, x) -> int:
+    """Command U for a scaled error pair x; always a valid 8-bit value."""
     y, _ = forward(ctl, x)
     if not isfinite(y):
         raise DivergenceError("controller")
@@ -172,15 +167,12 @@ def train_inverse(inv: TinyNet, e_triple, u_target: int) -> float:
     return _descend(inv, x, scale_to_unit(check_d8bv(u_target, "u_target")), "inverse model")
 
 
-def train_controller(
-    ctl: TinyNet, eps_prev: int, deps_prev: int, u_im: int, error_scaling: str
-) -> float:
-    """One online update toward (eps, deps) -> U_IM; returns pre-update loss."""
-    x = [scale_error(eps_prev), scale_delta_error(deps_prev, error_scaling)]
-    return _descend(ctl, x, scale_to_unit(check_d8bv(u_im, "u_im")), "controller")
+def train_controller(ctl: TinyNet, x_prev, u_im: int) -> float:
+    """One online update toward the scaled error pair x_prev -> U_IM; returns pre-update loss."""
+    return _descend(ctl, x_prev, scale_to_unit(check_d8bv(u_im, "u_im")), "controller")
 
 
-def _descend(net: TinyNet, x: list[float], target: float, name: str) -> float:
+def _descend(net: TinyNet, x, target: float, name: str) -> float:
     """train_step, with an overflowing or non-finite loss raised as divergence."""
     try:
         loss = train_step(net, x, target)
@@ -211,13 +203,14 @@ def loop_step(
     if not delayed:
         # Zero-delay reading: the controller acts on the freshest error it
         # has (last step's) and the plant answers within the same step.
-        u = controller_action(ctl, state.eps_prev, state.deps_prev, cfg.error_scaling)
+        u = controller_action(ctl, state.x_prev)
     e_electric = lut_eval(lut, state.u_prev if delayed else u)
     e_measured = clamp8_sum(e_electric, e_daylight_k)
     eps = _ERROR_INTS[e_desired - e_measured]
     deps = eps - state.eps_prev
+    x = (eps / EPS_SPAN, scale_delta_error(deps, cfg.error_scaling))
     if delayed:
-        u = controller_action(ctl, eps, deps, cfg.error_scaling)
+        u = controller_action(ctl, x)
 
     hist = state.e_measured_hist  # shifted in place, newest first
     if hist:
@@ -233,9 +226,7 @@ def loop_step(
     u_im = inverse_action(inv, e_desired, e_desired, e_desired)
 
     if state.k > 0:
-        loss_controller = train_controller(
-            ctl, state.eps_prev, state.deps_prev, u_im, cfg.error_scaling
-        )
+        loss_controller = train_controller(ctl, state.x_prev, u_im)
     else:
         loss_controller = 0.0
 
@@ -244,7 +235,7 @@ def loop_step(
         loss_inverse, loss_controller,
     )
     state.eps_prev = eps
-    state.deps_prev = deps
+    state.x_prev = x
     state.u_prev = u
     state.k += 1
     return record

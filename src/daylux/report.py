@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import tempfile
 from operator import attrgetter
 
@@ -123,27 +124,39 @@ def write_run_artifacts(records, warmup_steps: int, out_dir):
     directory, so not even a killed process leaves a cut file at an artifact
     name, and a failure before the renames leaves out_dir as it was.  An
     earlier set loses its summary.txt before the first rename and the new one
-    is renamed last, so a set without summary.txt is unfinished.
+    is renamed last, so a set without summary.txt is unfinished.  A killed
+    run's staging directory in an existing out_dir goes first, and a failed
+    rename also removes each directory makedirs made that is still empty.
     """
     report = band_report(records, warmup_steps)  # first, so a bad warmup writes no file
-    staging_parent = nearest_existing(out_dir)[0] or os.curdir  # renames stay on one file system
-    with tempfile.TemporaryDirectory(prefix=".daylux-", dir=staging_parent) as staging:
+    parent, _, missing = nearest_existing(out_dir)  # staged there, renames stay on one file system
+    if not missing:  # leftovers a killed run staged here; one that cannot go stays
+        with contextlib.suppress(OSError), os.scandir(out_dir) as entries:
+            for entry in entries:
+                if entry.name.startswith(".daylux-") and entry.is_dir(follow_symlinks=False):
+                    shutil.rmtree(entry.path, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix=".daylux-", dir=parent or os.curdir) as staging:
         write_trajectory_csv(records, os.path.join(staging, "trajectory.csv"))
         write_panel_csvs(records, staging)
         write_panel_svgs(records, staging)
         text = summary_text(report)
         with open(os.path.join(staging, "summary.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.makedirs(out_dir, exist_ok=True)
         paths = [os.path.join(out_dir, name) for name in ARTIFACT_NAMES]
         with contextlib.suppress(FileNotFoundError):  # a file or a link goes; a directory raises
             os.remove(paths[-1])
         try:
+            os.makedirs(out_dir, exist_ok=True)
             for name, path in zip(ARTIFACT_NAMES, paths):
                 os.replace(os.path.join(staging, name), path)
         except BaseException:  # a mixed set is worse than none: every artifact name goes
             for path in paths:
                 with contextlib.suppress(OSError):  # absent, or a directory, which stays
                     os.remove(path)
+            path = out_dir
+            for _ in missing:  # each directory makedirs made, innermost first
+                with contextlib.suppress(OSError):  # one that something else filled stays
+                    os.rmdir(path)
+                path = os.path.dirname(path)
             raise
     return report, text

@@ -7,11 +7,11 @@ see these values mapped affinely onto [-1, 1]; network outputs are limited to
 [-1, 1] and mapped back onto the 8-bit grid.
 
 Error signals are wider than one channel: eps = E_desired - E_measured spans
-[-255, 255] and its first difference deps spans [-510, 510].  Two scaling
-conventions are provided; "independent" divides each by its own full span,
-"shared255" divides both by 255 (saturating deps first).  The scalings take
-eps and deps as loop_step derives them from checked 8-bit signals, so they
-check neither; SimConfig.validate is the one check of the scaling's name.
+[-255, 255] and its first difference deps spans [-510, 510].  loop_step
+scales the pair once per step: eps / EPS_SPAN under either scaling, and deps
+by scale_delta_error, which "independent" divides by its own full span and
+"shared255" saturates at +-255 and divides by 255.  Both come from checked
+8-bit signals, so neither is checked; validate checks the scaling's name.
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ def unit_to_d8bv(u: float) -> int:
     elif u > 1.0:
         u = 1.0
     return floor((u + 1.0) * 127.5 + 0.5)
-
-
-def scale_error(eps: int) -> float:
-    """Scale a regulation error from [-255, 255] to the unit interval.
-
-    Both error scalings divide eps by 255, so this takes no scaling.
-    """
-    return eps / EPS_SPAN
 
 
 def scale_delta_error(deps: int, scaling: str) -> float:

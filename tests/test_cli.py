@@ -673,13 +673,48 @@ def test_a_write_that_fails_at_any_call_leaves_no_artifact(tmp_path, monkeypatch
             with monkeypatch.context() as patch:
                 _failing_writes(patch, n, exc)
                 assert main(argv) == code, (n, call)
-            # no artifact and no staging directory; out_dir is made only for
-            # a complete set, which a failed rename leaves empty
-            if call == "rename":
-                assert os.listdir(out) == [], (n, exc)
-                shutil.rmtree(tmp_path / "new")
+            # no artifact and no staging directory; out_dir and its parent
+            # new/ are made only for a complete set, and a failed rename
+            # removes them again
             assert os.listdir(tmp_path) == [], (n, exc)
     capsys.readouterr()
+
+
+def test_a_failed_rename_leaves_a_made_directory_that_something_else_filled(
+    tmp_path, monkeypatch,
+):
+    cfg = SimConfig(steps=30, daylight_source="constant:30")
+    records, _ = run_simulation(cfg)
+    out = tmp_path / "new" / "d"
+
+    def fill_then_fail(src, dst):
+        (tmp_path / "new" / "other.txt").write_text("not ours\n")
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(daylux.report.os, "replace", fill_then_fail)
+    with pytest.raises(OSError):
+        write_run_artifacts(records, cfg.warmup, out)
+    # d/ was empty and goes; new/ holds another file and stays, with it
+    assert os.listdir(tmp_path) == ["new"]
+    assert os.listdir(tmp_path / "new") == ["other.txt"]
+
+
+def test_a_new_set_removes_staging_directories_only(tmp_path):
+    cfg = SimConfig(steps=30, daylight_source="constant:30")
+    records, _ = run_simulation(cfg)
+    out, elsewhere = tmp_path / "d", tmp_path / "elsewhere"
+    (out / ".daylux-killed").mkdir(parents=True)
+    (out / ".daylux-killed" / "trajectory.csv").write_text("k\n")
+    (out / ".daylux-file").write_text("a file\n")
+    elsewhere.mkdir()
+    (elsewhere / "keep.txt").write_text("kept\n")
+    (out / ".daylux-link").symlink_to(elsewhere, target_is_directory=True)
+    (tmp_path / ".daylux-beside").mkdir()  # in out_dir's parent: not out_dir's, so it stays
+    write_run_artifacts(records, cfg.warmup, out)
+    assert sorted(os.listdir(out)) == sorted([*ARTIFACT_NAMES, ".daylux-file", ".daylux-link"])
+    assert (out / ".daylux-link").is_symlink()
+    assert os.listdir(elsewhere) == ["keep.txt"]
+    assert sorted(os.listdir(tmp_path)) == [".daylux-beside", "d", "elsewhere"]
 
 
 def test_a_write_that_fails_over_an_earlier_set_keeps_it_or_leaves_no_artifact(
@@ -811,8 +846,13 @@ def test_a_process_killed_while_writing_leaves_no_cut_artifact(tmp_path, capsys,
     # the earlier set stays whole beside it
     (staging,) = set(os.listdir(out)) - set(earlier)
     assert staging.startswith(".daylux-") and name in os.listdir(out / staging)
-    shutil.rmtree(out / staging)
-    assert contents(out) == earlier
+    assert {k: v for k, v in contents(out).items() if k != staging} == earlier
+    # the next run into out_dir removes the killed run's staging directory
+    argv = ["simulate", "--steps", "30", "--out-dir"]
+    assert main([*argv, str(out)]) == 0 and main([*argv, str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    assert not [n for n in os.listdir(out) if n.startswith(".daylux-")]
+    assert contents(out) == contents(tmp_path / "whole")
 
 
 def test_a_lut_write_that_fails_leaves_no_table(tmp_path):

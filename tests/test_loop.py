@@ -112,7 +112,7 @@ def test_controller_training_skipped_only_at_step_zero(monkeypatch):
     real = train_controller
     monkeypatch.setattr(
         loop_mod, "train_controller",
-        lambda ctl, e, d, u_im, s: (trained_at.append(True), real(ctl, e, d, u_im, s))[1],
+        lambda ctl, x_prev, u_im: (trained_at.append(True), real(ctl, x_prev, u_im))[1],
     )
     ctl, inv = zero_pair()
     state = LoopState()
@@ -123,15 +123,25 @@ def test_controller_training_skipped_only_at_step_zero(monkeypatch):
 
 
 def test_controller_trains_on_previous_error(monkeypatch):
-    seen = []
-    real = train_controller
+    acted, trained = [], []
+    real_action, real_train = controller_action, train_controller
+    monkeypatch.setattr(
+        loop_mod, "controller_action",
+        lambda ctl, x: (acted.append(x), real_action(ctl, x))[1],
+    )
     monkeypatch.setattr(
         loop_mod, "train_controller",
-        lambda ctl, e, d, u_im, s: (seen.append((e, d)), real(ctl, e, d, u_im, s))[1],
+        lambda ctl, x_prev, u_im: (trained.append(x_prev), real_train(ctl, x_prev, u_im))[1],
     )
-    recs, _ = run_simulation(SimConfig(steps=6))
-    # at step k the controller is fitted to the error pair observed at k-1
-    assert seen == [(r.eps, r.deps) for r in recs[:-1]]
+    for delay in (1, 0):
+        acted.clear()
+        trained.clear()
+        recs, _ = run_simulation(SimConfig(steps=6, plant_delay=delay))
+        # at step k the controller is fitted to the pair it acted on at k-1
+        # (one step's delay) or at k (zero delay): either way the pair of k-1
+        assert len(acted) == len(recs) and len(trained) == len(recs) - 1, delay
+        assert trained == acted[1 - delay:len(recs) - delay], delay
+        assert trained == [(r.eps / 255, r.deps / 510) for r in recs[:-1]], delay
 
 
 def test_inverse_target_lag_zero_uses_current_command(monkeypatch):
@@ -182,7 +192,7 @@ def test_zero_plant_delay_reacts_within_the_step():
 def test_controller_action_is_quantised():
     ctl = init_network(CONTROLLER_INPUTS, 0.15, 1, True)
     for eps in (-255, -100, 0, 100, 255):
-        assert 0 <= controller_action(ctl, eps, 0, "independent") <= 255
+        assert 0 <= controller_action(ctl, (eps / 255, 0.0)) <= 255
 
 
 def test_inverse_action_is_quantised():

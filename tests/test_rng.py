@@ -1,9 +1,13 @@
 """Tests for the SplitMix64 generator: frozen streams, ranges, determinism."""
 
+import importlib.util
+import struct
+import sys
 from itertools import islice
 
 import pytest
 
+import daylux.rng as rng_mod
 from daylux.rng import SplitMix64
 
 
@@ -85,3 +89,16 @@ def test_randoms_equals_successive_random_calls(seed):
     scalar = SplitMix64(seed)
     assert blocked == [scalar.random() for _ in range(5000)]
     assert r.random() == blocked[0]  # the stream left the generator where it was
+
+
+def test_a_big_endian_host_reads_each_lanes_low_word(monkeypatch):
+    # the module as a big-endian host loads it, and a block as that host
+    # lays it out: each lane's high word first, the last lane first
+    monkeypatch.setattr(sys, "byteorder", "big")
+    spec = importlib.util.spec_from_file_location("rng_big_endian", rng_mod.__file__)
+    big = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(big)
+    lows = [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(big._LANES)]
+    block = sum((low | (~i % 2**64) << 64) << 128 * i for i, low in enumerate(lows))
+    words = struct.unpack(f">{2 * big._LANES}Q", block.to_bytes(big._BLOCK_BYTES, "big"))
+    assert list(words[big._LOW_WORDS]) == lows

@@ -12,7 +12,6 @@ from daylux.signals import (
     clamp8_sum,
     round_half_away,
     scale_delta_error,
-    scale_error,
     scale_to_unit,
     unit_to_d8bv,
 )
@@ -65,13 +64,6 @@ def test_unit_to_d8bv_saturates():
 def test_quantization_round_trip_exhaustive():
     for v in range(256):
         assert unit_to_d8bv(scale_to_unit(v)) == v
-
-
-def test_scale_error_values():
-    assert scale_error(0) == 0.0
-    assert scale_error(255) == 1.0
-    assert scale_error(-255) == -1.0
-    assert scale_error(60) == 60 / 255
 
 
 def test_scale_delta_error_independent():
